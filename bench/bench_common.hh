@@ -13,10 +13,9 @@
  * deterministic for a given seed and identical on any host. None of
  * them may consult a host clock for results. Host-side (wall-clock)
  * timing of the simulator itself is the exclusive business of
- * src/base/host_timer.hh, used by tools/distill_bench and the
- * perf-smoke entries; keep the two kinds of time in separate binaries
- * so a reader can never mistake host throughput for a simulated
- * result (or vice versa).
+ * src/base/host_timer.hh, used by perfbench; keep the two kinds of
+ * time in separate binaries so a reader can never mistake host
+ * throughput for a simulated result (or vice versa).
  */
 
 #ifndef DISTILL_BENCH_BENCH_COMMON_HH

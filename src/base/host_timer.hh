@@ -5,17 +5,15 @@
  * Everything else in the repository measures *virtual* time — the
  * simulated nanoseconds advanced by sim::Scheduler. This header is
  * the one place that measures *host* time: how fast the simulator
- * itself executes on the machine running it. tools/distill_bench,
- * bench/perf_smoke, and any bench binary that reports host-side
- * throughput must use these helpers rather than rolling their own
- * clock so the two kinds of time can never be conflated (see the
- * virtual-vs-wall-clock note in bench/bench_common.hh).
+ * itself executes on the machine running it. perfbench and any bench
+ * binary that reports host-side throughput must use these helpers
+ * rather than rolling their own clock so the two kinds of time can
+ * never be conflated (see the virtual-vs-wall-clock note in
+ * bench/bench_common.hh).
  *
- * Repetition summaries use median/MAD instead of mean/stddev: a bench
- * rep hit by an unrelated host hiccup (page cache flush, scheduler
- * migration) should not drag the reported throughput, and the median
- * absolute deviation gives a robust spread estimate for the
- * BENCH_*.json trajectory.
+ * Repetition summaries use the median instead of the mean: a rep hit
+ * by an unrelated host hiccup (page cache flush, scheduler migration)
+ * should not drag the reported throughput.
  */
 
 #ifndef DISTILL_BASE_HOST_TIMER_HH
@@ -82,22 +80,6 @@ medianOf(std::vector<double> samples)
     double lo =
         *std::max_element(samples.begin(), samples.begin() + mid);
     return (lo + hi) / 2.0;
-}
-
-/**
- * Median absolute deviation of @p samples around @p center (pass the
- * precomputed median). Zero for fewer than two samples.
- */
-inline double
-madOf(const std::vector<double> &samples, double center)
-{
-    if (samples.size() < 2)
-        return 0.0;
-    std::vector<double> deviations;
-    deviations.reserve(samples.size());
-    for (double s : samples)
-        deviations.push_back(std::fabs(s - center));
-    return medianOf(std::move(deviations));
 }
 
 } // namespace distill

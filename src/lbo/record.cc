@@ -1,8 +1,10 @@
 #include "lbo/record.hh"
 
-#include <sstream>
-
-#include "base/logging.hh"
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <string_view>
+#include <variant>
 
 namespace distill::lbo
 {
@@ -10,55 +12,212 @@ namespace distill::lbo
 namespace
 {
 
-/** Field count of the pre-failure-record layout (distill_runs_v3). */
-constexpr std::size_t legacyFieldCount = 32;
+using Layout = RunRecord::CsvLayout;
 
-/** Field count of the pre-forensics layout (no signature/sidecar). */
-constexpr std::size_t failureFieldCount = 36;
+/** The RunRecord member a CSV column reads and writes. */
+using Member =
+    std::variant<std::string RunRecord::*, double RunRecord::*,
+                 std::uint64_t RunRecord::*, unsigned RunRecord::*,
+                 bool RunRecord::*>;
 
-/** Field count of the pre-notes layout (no diagnostic metadata). */
-constexpr std::size_t forensicsFieldCount = 38;
+struct Column
+{
+    const char *name;
+    Member member;
+    Layout since; //!< the first layout that has this column
+};
 
-/** Field count of the pre-phase-attribution layout. */
-constexpr std::size_t notesFieldCount = 39;
+/**
+ * The CSV schema: one row per column, in file order. A new column is
+ * one row here under a new CsvLayout, appended at the end, plus a
+ * detail::cacheEpoch bump.
+ */
+constexpr Column columns[] = {
+    {"bench", &RunRecord::bench, Layout::Legacy},
+    {"collector", &RunRecord::collector, Layout::Legacy},
+    {"heapFactor", &RunRecord::heapFactor, Layout::Legacy},
+    {"heapBytes", &RunRecord::heapBytes, Layout::Legacy},
+    {"seed", &RunRecord::seed, Layout::Legacy},
+    {"invocation", &RunRecord::invocation, Layout::Legacy},
+    {"completed", &RunRecord::completed, Layout::Legacy},
+    {"oom", &RunRecord::oom, Layout::Legacy},
+    {"wallNs", &RunRecord::wallNs, Layout::Legacy},
+    {"cycles", &RunRecord::cycles, Layout::Legacy},
+    {"stwWallNs", &RunRecord::stwWallNs, Layout::Legacy},
+    {"stwCycles", &RunRecord::stwCycles, Layout::Legacy},
+    {"gcThreadCycles", &RunRecord::gcThreadCycles, Layout::Legacy},
+    {"mutatorCycles", &RunRecord::mutatorCycles, Layout::Legacy},
+    {"pauses", &RunRecord::pauses, Layout::Legacy},
+    {"pauseMeanNs", &RunRecord::pauseMeanNs, Layout::Legacy},
+    {"pauseP50Ns", &RunRecord::pauseP50Ns, Layout::Legacy},
+    {"pauseP90Ns", &RunRecord::pauseP90Ns, Layout::Legacy},
+    {"pauseP99Ns", &RunRecord::pauseP99Ns, Layout::Legacy},
+    {"pauseP9999Ns", &RunRecord::pauseP9999Ns, Layout::Legacy},
+    {"pauseMaxNs", &RunRecord::pauseMaxNs, Layout::Legacy},
+    {"meteredP50Ns", &RunRecord::meteredP50Ns, Layout::Legacy},
+    {"meteredP90Ns", &RunRecord::meteredP90Ns, Layout::Legacy},
+    {"meteredP99Ns", &RunRecord::meteredP99Ns, Layout::Legacy},
+    {"meteredP9999Ns", &RunRecord::meteredP9999Ns, Layout::Legacy},
+    {"meteredMaxNs", &RunRecord::meteredMaxNs, Layout::Legacy},
+    {"simpleP50Ns", &RunRecord::simpleP50Ns, Layout::Legacy},
+    {"simpleP99Ns", &RunRecord::simpleP99Ns, Layout::Legacy},
+    {"simpleP9999Ns", &RunRecord::simpleP9999Ns, Layout::Legacy},
+    {"allocStallNs", &RunRecord::allocStallNs, Layout::Legacy},
+    {"degeneratedGcs", &RunRecord::degeneratedGcs, Layout::Legacy},
+    {"bytesAllocated", &RunRecord::bytesAllocated, Layout::Legacy},
+    {"status", &RunRecord::status, Layout::Failure},
+    {"failReason", &RunRecord::failReason, Layout::Failure},
+    {"faultSeed", &RunRecord::faultSeed, Layout::Failure},
+    {"schedSeed", &RunRecord::schedSeed, Layout::Failure},
+    {"signature", &RunRecord::signature, Layout::Forensics},
+    {"sidecar", &RunRecord::sidecar, Layout::Forensics},
+    {"notes", &RunRecord::notes, Layout::Notes},
+    {"markCycles", &RunRecord::markCycles, Layout::Phase},
+    {"evacCycles", &RunRecord::evacCycles, Layout::Phase},
+    {"updateRefsCycles", &RunRecord::updateRefsCycles, Layout::Phase},
+    {"remsetRefineCycles", &RunRecord::remsetRefineCycles, Layout::Phase},
+    {"relocateCycles", &RunRecord::relocateCycles, Layout::Phase},
+    {"sweepCycles", &RunRecord::sweepCycles, Layout::Phase},
+    {"compactCycles", &RunRecord::compactCycles, Layout::Phase},
+    {"gcGlueCycles", &RunRecord::gcGlueCycles, Layout::Phase},
+    {"serveSeed", &RunRecord::serveSeed, Layout::Serve},
+    {"serveIssued", &RunRecord::serveIssued, Layout::Serve},
+    {"serveCompleted", &RunRecord::serveCompleted, Layout::Serve},
+    {"serveShed", &RunRecord::serveShed, Layout::Serve},
+    {"serveDeadline", &RunRecord::serveDeadline, Layout::Serve},
+    {"serveRetries", &RunRecord::serveRetries, Layout::Serve},
+    {"serveRetryExhausted", &RunRecord::serveRetryExhausted, Layout::Serve},
+    {"serveLost", &RunRecord::serveLost, Layout::Recovery},
+    {"serveHedgeCancelled", &RunRecord::serveHedgeCancelled,
+     Layout::Recovery},
+    {"serveRestarts", &RunRecord::serveRestarts, Layout::Recovery},
+    {"serveFailovers", &RunRecord::serveFailovers, Layout::Recovery},
+    {"stealCycles", &RunRecord::stealCycles, Layout::Steal},
+    {"stealSpinCycles", &RunRecord::stealSpinCycles, Layout::Steal},
+    {"terminationSpinCycles", &RunRecord::terminationSpinCycles,
+     Layout::Steal},
+    {"stealAttempts", &RunRecord::stealAttempts, Layout::Steal},
+    {"stealHits", &RunRecord::stealHits, Layout::Steal},
+    {"sizingPolicy", &RunRecord::sizingPolicy, Layout::Sizing},
+    {"heapLimitBytes", &RunRecord::heapLimitBytes, Layout::Sizing},
+    {"peakCommittedBytes", &RunRecord::peakCommittedBytes, Layout::Sizing},
+    {"avgCommittedBytes", &RunRecord::avgCommittedBytes, Layout::Sizing},
+    {"sizingGrows", &RunRecord::sizingGrows, Layout::Sizing},
+    {"sizingShrinks", &RunRecord::sizingShrinks, Layout::Sizing},
+};
 
-/** Field count of the pre-serve-columns layout. */
-constexpr std::size_t phaseFieldCount = 47;
+constexpr std::size_t columnCount = std::size(columns);
 
-/** Field count of the pre-fleet-recovery layout. */
-constexpr std::size_t serveFieldCount = 54;
+constexpr bool
+layoutsArePrefixes()
+{
+    for (std::size_t i = 1; i < columnCount; ++i)
+        if (columns[i].since < columns[i - 1].since)
+            return false;
+    return true;
+}
+static_assert(layoutsArePrefixes(),
+              "columns must be grouped by layout, oldest first, so every "
+              "historical row is a prefix of the current one");
 
-/** Field count of the pre-work-stealing layout. */
-constexpr std::size_t recoveryFieldCount = 58;
+void
+appendField(std::string &out, const std::string &v)
+{
+    out += RunRecord::sanitizeReason(v);
+}
 
-/** Field count of the pre-heap-sizing layout. */
-constexpr std::size_t stealFieldCount = 63;
+void
+appendField(std::string &out, double v)
+{
+    // %.17g, as the std::ostream precision(17) writer always printed.
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
 
-/** Field count of the current layout. */
-constexpr std::size_t currentFieldCount = 69;
+template <typename U>
+void
+appendField(std::string &out, U v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendField(std::string &out, bool v)
+{
+    out += v ? '1' : '0';
+}
+
+bool
+parseField(std::string_view text, std::string &v)
+{
+    v.assign(text);
+    return true;
+}
+
+/**
+ * Integers and doubles must fill the whole field: from_chars rejects
+ * leading whitespace and '+', unsigned targets reject '-', and an
+ * out-of-range value is an error rather than a wrap or a truncation.
+ */
+template <typename T>
+bool
+parseField(std::string_view text, T &v)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    return ec == std::errc{} && ptr == end;
+}
+
+bool
+parseField(std::string_view text, bool &v)
+{
+    if (text != "0" && text != "1")
+        return false;
+    v = text == "1";
+    return true;
+}
 
 } // namespace
+
+std::size_t
+RunRecord::csvWidth(CsvLayout layout)
+{
+    std::size_t n = 0;
+    while (n < columnCount && columns[n].since <= layout)
+        ++n;
+    return n;
+}
+
+const std::vector<std::size_t> &
+RunRecord::csvWidths()
+{
+    static const std::vector<std::size_t> widths = [] {
+        std::vector<std::size_t> out;
+        for (const Column &c : columns)
+            if (csvWidth(c.since) != (out.empty() ? 0 : out.back()))
+                out.push_back(csvWidth(c.since));
+        return out;
+    }();
+    return widths;
+}
 
 const char *
 RunRecord::csvHeader()
 {
-    return "bench,collector,heapFactor,heapBytes,seed,invocation,"
-           "completed,oom,wallNs,cycles,stwWallNs,stwCycles,"
-           "gcThreadCycles,mutatorCycles,pauses,pauseMeanNs,pauseP50Ns,"
-           "pauseP90Ns,pauseP99Ns,pauseP9999Ns,pauseMaxNs,meteredP50Ns,"
-           "meteredP90Ns,meteredP99Ns,meteredP9999Ns,meteredMaxNs,"
-           "simpleP50Ns,simpleP99Ns,simpleP9999Ns,allocStallNs,"
-           "degeneratedGcs,bytesAllocated,status,failReason,faultSeed,"
-           "schedSeed,signature,sidecar,notes,markCycles,evacCycles,"
-           "updateRefsCycles,remsetRefineCycles,relocateCycles,"
-           "sweepCycles,compactCycles,gcGlueCycles,serveSeed,"
-           "serveIssued,serveCompleted,serveShed,serveDeadline,"
-           "serveRetries,serveRetryExhausted,serveLost,"
-           "serveHedgeCancelled,serveRestarts,serveFailovers,"
-           "stealCycles,stealSpinCycles,terminationSpinCycles,"
-           "stealAttempts,stealHits,sizingPolicy,heapLimitBytes,"
-           "peakCommittedBytes,avgCommittedBytes,sizingGrows,"
-           "sizingShrinks";
+    static const std::string header = [] {
+        std::string out;
+        for (const Column &c : columns) {
+            if (!out.empty())
+                out += ',';
+            out += c.name;
+        }
+        return out;
+    }();
+    return header.c_str();
 }
 
 const char *
@@ -90,186 +249,52 @@ RunRecord::sanitizeReason(const std::string &reason)
 std::string
 RunRecord::toCsv() const
 {
-    std::ostringstream out;
-    out.precision(17);
-    out << bench << ',' << collector << ',' << heapFactor << ','
-        << heapBytes << ',' << seed << ',' << invocation << ','
-        << (completed ? 1 : 0) << ',' << (oom ? 1 : 0) << ',' << wallNs
-        << ',' << cycles << ',' << stwWallNs << ',' << stwCycles << ','
-        << gcThreadCycles << ',' << mutatorCycles << ',' << pauses << ','
-        << pauseMeanNs << ',' << pauseP50Ns << ',' << pauseP90Ns << ','
-        << pauseP99Ns << ',' << pauseP9999Ns << ',' << pauseMaxNs << ','
-        << meteredP50Ns << ',' << meteredP90Ns << ',' << meteredP99Ns
-        << ',' << meteredP9999Ns << ',' << meteredMaxNs << ','
-        << simpleP50Ns << ',' << simpleP99Ns << ',' << simpleP9999Ns
-        << ',' << allocStallNs << ',' << degeneratedGcs << ','
-        << bytesAllocated << ',' << status << ','
-        << sanitizeReason(failReason) << ',' << faultSeed << ','
-        << schedSeed << ',' << sanitizeReason(signature) << ','
-        << sanitizeReason(sidecar) << ',' << sanitizeReason(notes) << ','
-        << markCycles << ',' << evacCycles << ',' << updateRefsCycles
-        << ',' << remsetRefineCycles << ',' << relocateCycles << ','
-        << sweepCycles << ',' << compactCycles << ',' << gcGlueCycles
-        << ',' << serveSeed << ',' << serveIssued << ',' << serveCompleted
-        << ',' << serveShed << ',' << serveDeadline << ',' << serveRetries
-        << ',' << serveRetryExhausted << ',' << serveLost << ','
-        << serveHedgeCancelled << ',' << serveRestarts << ','
-        << serveFailovers << ',' << stealCycles << ','
-        << stealSpinCycles << ',' << terminationSpinCycles << ','
-        << stealAttempts << ',' << stealHits << ',' << sizingPolicy
-        << ',' << heapLimitBytes << ',' << peakCommittedBytes << ','
-        << avgCommittedBytes << ',' << sizingGrows << ','
-        << sizingShrinks;
-    return out.str();
+    std::string out;
+    out.reserve(640);
+    for (const Column &c : columns) {
+        if (&c != columns)
+            out += ',';
+        std::visit([&](auto member) { appendField(out, this->*member); },
+                   c.member);
+    }
+    return out;
 }
 
 bool
 RunRecord::fromCsv(const std::string &line, RunRecord &out)
 {
-    std::istringstream in(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(in, field, ','))
-        fields.push_back(field);
-    // getline drops exactly one trailing empty field (a line ending in
-    // ','); restore it so an empty sidecar in the last column parses.
-    // Only the final delimiter is swallowed — ",," in the middle still
-    // yields its empty token — so exactly one field is ever missing.
-    if (!line.empty() && line.back() == ',')
-        fields.emplace_back();
-    if (fields.size() != legacyFieldCount &&
-        fields.size() != failureFieldCount &&
-        fields.size() != forensicsFieldCount &&
-        fields.size() != notesFieldCount &&
-        fields.size() != phaseFieldCount &&
-        fields.size() != serveFieldCount &&
-        fields.size() != recoveryFieldCount &&
-        fields.size() != stealFieldCount &&
-        fields.size() != currentFieldCount) {
-        return false;
+    // Split on every ','; a line ending in ',' has an empty last field.
+    std::array<std::string_view, columnCount> fields;
+    std::size_t n = 0;
+    std::size_t start = 0;
+    while (true) {
+        std::size_t comma = line.find(',', start);
+        if (n == columnCount)
+            return false;
+        fields[n++] = std::string_view(line).substr(
+            start, comma == std::string::npos ? std::string::npos
+                                              : comma - start);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
     }
-    try {
-        std::size_t i = 0;
-        out.bench = fields[i++];
-        out.collector = fields[i++];
-        out.heapFactor = std::stod(fields[i++]);
-        out.heapBytes = std::stoull(fields[i++]);
-        out.seed = std::stoull(fields[i++]);
-        out.invocation = static_cast<unsigned>(std::stoul(fields[i++]));
-        out.completed = fields[i++] == "1";
-        out.oom = fields[i++] == "1";
-        out.wallNs = std::stod(fields[i++]);
-        out.cycles = std::stod(fields[i++]);
-        out.stwWallNs = std::stod(fields[i++]);
-        out.stwCycles = std::stod(fields[i++]);
-        out.gcThreadCycles = std::stod(fields[i++]);
-        out.mutatorCycles = std::stod(fields[i++]);
-        out.pauses = std::stoull(fields[i++]);
-        out.pauseMeanNs = std::stod(fields[i++]);
-        out.pauseP50Ns = std::stod(fields[i++]);
-        out.pauseP90Ns = std::stod(fields[i++]);
-        out.pauseP99Ns = std::stod(fields[i++]);
-        out.pauseP9999Ns = std::stod(fields[i++]);
-        out.pauseMaxNs = std::stod(fields[i++]);
-        out.meteredP50Ns = std::stod(fields[i++]);
-        out.meteredP90Ns = std::stod(fields[i++]);
-        out.meteredP99Ns = std::stod(fields[i++]);
-        out.meteredP9999Ns = std::stod(fields[i++]);
-        out.meteredMaxNs = std::stod(fields[i++]);
-        out.simpleP50Ns = std::stod(fields[i++]);
-        out.simpleP99Ns = std::stod(fields[i++]);
-        out.simpleP9999Ns = std::stod(fields[i++]);
-        out.allocStallNs = std::stod(fields[i++]);
-        out.degeneratedGcs = std::stoull(fields[i++]);
-        out.bytesAllocated = std::stoull(fields[i++]);
-        if (fields.size() >= failureFieldCount) {
-            out.status = fields[i++];
-            out.failReason = fields[i++];
-            out.faultSeed = std::stoull(fields[i++]);
-            out.schedSeed = std::stoull(fields[i++]);
-        } else {
-            // Legacy row: derive the structured outcome.
-            out.status = statusFor(out.completed, out.oom, "");
-            out.failReason.clear();
-            out.faultSeed = 0;
-            out.schedSeed = 0;
-        }
-        if (fields.size() >= forensicsFieldCount) {
-            out.signature = fields[i++];
-            out.sidecar = fields[i++];
-        } else {
-            out.signature.clear();
-            out.sidecar.clear();
-        }
-        if (fields.size() >= notesFieldCount)
-            out.notes = fields[i++];
-        else
-            out.notes.clear();
-        if (fields.size() >= phaseFieldCount) {
-            out.markCycles = std::stod(fields[i++]);
-            out.evacCycles = std::stod(fields[i++]);
-            out.updateRefsCycles = std::stod(fields[i++]);
-            out.remsetRefineCycles = std::stod(fields[i++]);
-            out.relocateCycles = std::stod(fields[i++]);
-            out.sweepCycles = std::stod(fields[i++]);
-            out.compactCycles = std::stod(fields[i++]);
-            out.gcGlueCycles = std::stod(fields[i++]);
-        } else {
-            out.markCycles = out.evacCycles = out.updateRefsCycles = 0;
-            out.remsetRefineCycles = out.relocateCycles = 0;
-            out.sweepCycles = out.compactCycles = out.gcGlueCycles = 0;
-        }
-        if (fields.size() >= serveFieldCount) {
-            out.serveSeed = std::stoull(fields[i++]);
-            out.serveIssued = std::stoull(fields[i++]);
-            out.serveCompleted = std::stoull(fields[i++]);
-            out.serveShed = std::stoull(fields[i++]);
-            out.serveDeadline = std::stoull(fields[i++]);
-            out.serveRetries = std::stoull(fields[i++]);
-            out.serveRetryExhausted = std::stoull(fields[i++]);
-        } else {
-            out.serveSeed = out.serveIssued = out.serveCompleted = 0;
-            out.serveShed = out.serveDeadline = 0;
-            out.serveRetries = out.serveRetryExhausted = 0;
-        }
-        if (fields.size() >= recoveryFieldCount) {
-            out.serveLost = std::stoull(fields[i++]);
-            out.serveHedgeCancelled = std::stoull(fields[i++]);
-            out.serveRestarts = std::stoull(fields[i++]);
-            out.serveFailovers = std::stoull(fields[i++]);
-        } else {
-            out.serveLost = out.serveHedgeCancelled = 0;
-            out.serveRestarts = out.serveFailovers = 0;
-        }
-        if (fields.size() >= stealFieldCount) {
-            out.stealCycles = std::stod(fields[i++]);
-            out.stealSpinCycles = std::stod(fields[i++]);
-            out.terminationSpinCycles = std::stod(fields[i++]);
-            out.stealAttempts = std::stoull(fields[i++]);
-            out.stealHits = std::stoull(fields[i++]);
-        } else {
-            out.stealCycles = out.stealSpinCycles = 0;
-            out.terminationSpinCycles = 0;
-            out.stealAttempts = out.stealHits = 0;
-        }
-        if (fields.size() >= currentFieldCount) {
-            out.sizingPolicy = fields[i++];
-            out.heapLimitBytes = std::stoull(fields[i++]);
-            out.peakCommittedBytes = std::stoull(fields[i++]);
-            out.avgCommittedBytes = std::stod(fields[i++]);
-            out.sizingGrows = std::stoull(fields[i++]);
-            out.sizingShrinks = std::stoull(fields[i++]);
-        } else {
-            // Every pre-sizing row ran under the only policy that
-            // existed: the fixed heap limit.
-            out.sizingPolicy = "fixed";
-            out.heapLimitBytes = out.peakCommittedBytes = 0;
-            out.avgCommittedBytes = 0;
-            out.sizingGrows = out.sizingShrinks = 0;
-        }
-    } catch (const std::exception &) {
+    const std::vector<std::size_t> &widths = csvWidths();
+    if (std::find(widths.begin(), widths.end(), n) == widths.end())
         return false;
+
+    RunRecord r;
+    for (std::size_t i = 0; i < n; ++i) {
+        bool ok = std::visit(
+            [&](auto member) { return parseField(fields[i], r.*member); },
+            columns[i].member);
+        if (!ok)
+            return false;
     }
+    if (n == csvWidth(CsvLayout::Legacy)) {
+        // Legacy rows predate the status column: derive it.
+        r.status = statusFor(r.completed, r.oom, "");
+    }
+    out = std::move(r);
     return true;
 }
 

@@ -7,6 +7,7 @@
 #ifndef DISTILL_LBO_RECORD_HH
 #define DISTILL_LBO_RECORD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -175,21 +176,48 @@ struct RunRecord
     std::uint64_t sizingGrows = 0;
     std::uint64_t sizingShrinks = 0;
 
+    /**
+     * CSV layouts, oldest first. Each one appended columns to the one
+     * before it, so every historical row is a prefix of the current
+     * layout: Legacy (distill_runs_v3, before the failure columns),
+     * Failure (status, failReason, fault/sched seeds), Forensics
+     * (signature, sidecar), Notes, Phase (per-phase attribution),
+     * Serve, Recovery (fleet recovery), Steal (work stealing) and
+     * Sizing (heap sizing, the current layout).
+     */
+    enum class CsvLayout
+    {
+        Legacy,
+        Failure,
+        Forensics,
+        Notes,
+        Phase,
+        Serve,
+        Recovery,
+        Steal,
+        Sizing,
+    };
+
+    /** Field count of @p layout. */
+    static std::size_t csvWidth(CsvLayout layout);
+
+    /**
+     * Field counts of every layout fromCsv() accepts, oldest first;
+     * the last is the current layout toCsv() writes.
+     */
+    static const std::vector<std::size_t> &csvWidths();
+
     /** Serialize as one CSV line (matching csvHeader()). */
     std::string toCsv() const;
 
     /**
-     * Parse one CSV line; returns false on malformed input. Accepts
-     * the current 69-field layout as well as the eight historical
-     * ones (32 fields before the status/failReason columns existed,
-     * 36 before signature/sidecar, 38 before notes, 39 before the
-     * per-phase attribution columns, 47 before the serve columns,
-     * 54 before the fleet-recovery columns, 58 before the
-     * work-stealing columns, 63 before the heap-sizing columns);
-     * legacy rows get status derived from their completed/oom flags,
-     * empty forensics/notes columns, zeroed
-     * phase/serve/recovery/steal/footprint fields, and sizing policy
-     * "fixed".
+     * Parse one headerless CSV line in any layout of csvWidths();
+     * returns false on any other width or a malformed field (a '+',
+     * a '-' on an unsigned column, whitespace, trailing junk, a value
+     * out of the column's range, a bool other than 0/1). Columns a
+     * layout lacks keep their RunRecord{} defaults (status "ok",
+     * sizing policy "fixed", zeros), except that Legacy rows derive
+     * status from their completed/oom flags.
      */
     static bool fromCsv(const std::string &line, RunRecord &out);
 

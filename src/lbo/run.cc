@@ -1,6 +1,6 @@
 #include "lbo/run.hh"
 
-#include "rt/runtime.hh"
+#include "heap/layout.hh"
 #include "wl/workload.hh"
 
 namespace distill::lbo
@@ -63,56 +63,66 @@ fillMetrics(RunRecord &r, const metrics::RunMetrics &m)
     r.sizingShrinks = m.sizingShrinks;
 }
 
-RunRecord
-runOne(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
-       std::uint64_t heap_bytes, double heap_factor, std::uint64_t seed,
-       unsigned invocation, const Environment &env, RunExtras *extras)
+std::uint64_t
+heapBytesAt(const wl::WorkloadSpec &spec, double factor)
 {
+    return roundUp(static_cast<std::uint64_t>(
+                       factor * static_cast<double>(spec.minHeapBytes)),
+                   heap::regionSize);
+}
+
+rt::RunConfig
+makeRunConfig(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
+              std::uint64_t heap_bytes, std::uint64_t seed,
+              const Environment &env)
+{
+    bool epsilon = collector == gc::CollectorKind::Epsilon;
     rt::RunConfig config;
     config.machine = env.machine;
     config.costs = env.costs;
     config.seed = seed;
     config.schedSeed = env.schedSeed;
     config.faultSeed = env.faultSeed;
-    config.heapBytes = collector == gc::CollectorKind::Epsilon
-        ? env.machine.memoryBudget
-        : heap_bytes;
-    // The Epsilon / no-min-heap guarantee: a heap-limit controller is
-    // only armed when there is a measured [min-heap, configured-heap]
-    // range to steer within. Epsilon never collects (no cycle
-    // boundaries to consult at) and runs on the machine-memory heap;
-    // specs without a measured min-heap (heap-bytes replay overrides)
-    // would hand the adaptive shrink a zero floor.
-    heap::SizingPolicy effective_policy = env.sizingPolicy;
-    if (collector == gc::CollectorKind::Epsilon || spec.minHeapBytes == 0)
-        effective_policy = heap::SizingPolicy::Fixed;
-    config.sizingPolicy = effective_policy;
+    config.heapBytes = epsilon ? env.machine.memoryBudget : heap_bytes;
+    config.sizingPolicy = epsilon || spec.minHeapBytes == 0
+        ? heap::SizingPolicy::Fixed
+        : env.sizingPolicy;
     config.minHeapBytes = spec.minHeapBytes;
+    return config;
+}
 
-    rt::Runtime runtime(config, gc::makeCollector(collector, env.gcOptions),
-                        wl::makeWorkload(spec));
-    runtime.execute();
-    const metrics::RunMetrics &m = runtime.agent().metrics();
-    if (extras != nullptr) {
-        extras->objectsAllocated = m.objectsAllocated;
-        extras->schedRounds = m.schedRounds;
-        extras->schedDispatches = m.schedDispatches;
-        extras->refLoads = m.refLoads;
-        extras->refStores = m.refStores;
-    }
-
+RunRecord
+identityRecord(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
+               const rt::RunConfig &config, double heap_factor,
+               unsigned invocation)
+{
     RunRecord r;
     r.bench = spec.name;
     r.collector = gc::collectorName(collector);
     r.heapFactor = collector == gc::CollectorKind::Epsilon ? 0.0
                                                            : heap_factor;
     r.heapBytes = config.heapBytes;
-    r.seed = seed;
+    r.seed = config.seed;
     r.invocation = invocation;
-    r.faultSeed = env.faultSeed;
-    r.schedSeed = env.schedSeed;
-    r.sizingPolicy = heap::sizingPolicyName(effective_policy);
-    fillMetrics(r, m);
+    r.faultSeed = config.faultSeed;
+    r.schedSeed = config.schedSeed;
+    r.sizingPolicy = heap::sizingPolicyName(config.sizingPolicy);
+    return r;
+}
+
+RunRecord
+runOne(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
+       std::uint64_t heap_bytes, double heap_factor, std::uint64_t seed,
+       unsigned invocation, const Environment &env)
+{
+    rt::RunConfig config =
+        makeRunConfig(spec, collector, heap_bytes, seed, env);
+    rt::Runtime runtime(config, gc::makeCollector(collector, env.gcOptions),
+                        wl::makeWorkload(spec));
+    runtime.execute();
+    RunRecord r =
+        identityRecord(spec, collector, config, heap_factor, invocation);
+    fillMetrics(r, runtime.agent().metrics());
     return r;
 }
 

@@ -12,6 +12,7 @@
 #include "lbo/record.hh"
 #include "metrics/agent.hh"
 #include "rt/cost_model.hh"
+#include "rt/runtime.hh"
 #include "sim/machine.hh"
 #include "wl/spec.hh"
 
@@ -42,28 +43,50 @@ struct Environment
     std::uint64_t faultSeed = 0;
 
     /**
-     * Heap-limit policy (heap/sizing.hh). Forced to Fixed for Epsilon
-     * and for specs without a measured min-heap: a controller needs a
-     * [min-heap, configured-heap] range to steer within. Non-fixed
+     * Heap-limit policy (heap/sizing.hh); makeRunConfig() forces it
+     * to Fixed where no controller can run. Non-fixed
      * runs cache under a distinct key, so clean grids are unaffected.
      */
     heap::SizingPolicy sizingPolicy = heap::SizingPolicy::Fixed;
 };
 
 /**
- * Host-throughput counters a run produces beyond what RunRecord
- * carries. distill_bench divides these by host time; they are kept
- * out of the CSV schema because they describe simulator activity, not
- * simulated GC cost.
+ * The configured heap at @p factor times @p spec's measured min heap,
+ * rounded up to whole regions: the heap of a sweep grid cell and of a
+ * single run given --heap-factor.
  */
-struct RunExtras
-{
-    std::uint64_t objectsAllocated = 0;
-    std::uint64_t schedRounds = 0;
-    std::uint64_t schedDispatches = 0;
-    std::uint64_t refLoads = 0;
-    std::uint64_t refStores = 0;
-};
+std::uint64_t heapBytesAt(const wl::WorkloadSpec &spec, double factor);
+
+/**
+ * The rt::RunConfig for one invocation of @p spec under @p collector.
+ * Every run path builds its configuration here, because two rules
+ * must hold for all of them (and for the sweep's cache keys, which
+ * read the result):
+ *  - Epsilon never collects, so it runs on the machine-memory heap
+ *    whatever @p heap_bytes says;
+ *  - a heap-sizing controller is armed only when there is a measured
+ *    [min-heap, configured-heap] range to steer within, so
+ *    env.sizingPolicy is forced to Fixed for Epsilon (no cycle
+ *    boundaries to consult at) and for specs without a measured
+ *    min-heap (heap-bytes replay overrides would hand the adaptive
+ *    shrink a zero floor).
+ */
+rt::RunConfig makeRunConfig(const wl::WorkloadSpec &spec,
+                            gc::CollectorKind collector,
+                            std::uint64_t heap_bytes, std::uint64_t seed,
+                            const Environment &env);
+
+/**
+ * A record carrying only the identity columns of the run @p config
+ * (from makeRunConfig) describes: bench, collector, heap (factor 0
+ * for Epsilon), seeds, invocation and the effective sizing policy.
+ * Run paths fill the measured columns; paths that lose a run (a
+ * crashed child) keep it as the failure row.
+ */
+RunRecord identityRecord(const wl::WorkloadSpec &spec,
+                         gc::CollectorKind collector,
+                         const rt::RunConfig &config, double heap_factor,
+                         unsigned invocation);
 
 /**
  * Execute one invocation of @p spec under @p collector with a heap of
@@ -72,19 +95,16 @@ struct RunExtras
  *
  * @param seed Workload seed; runs with the same seed replay the same
  *        allocation/mutation sequence under every collector.
- * @param extras When non-null, receives the run's host-throughput
- *        counters (see RunExtras).
  */
 RunRecord runOne(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
                  std::uint64_t heap_bytes, double heap_factor,
                  std::uint64_t seed, unsigned invocation,
-                 const Environment &env = {}, RunExtras *extras = nullptr);
+                 const Environment &env = {});
 
 /**
  * Fill @p r's outcome, cost, pause/latency, and phase-attribution
- * columns from finalized metrics @p m. Identity columns (bench,
- * collector, heap, seed, invocation, fault/sched seeds) and the serve
- * columns are the caller's responsibility. Shared by runOne and
+ * columns from finalized metrics @p m. Identity columns come from
+ * identityRecord(); serve columns are the caller's. Shared by runOne and
  * serve::runServe so both row flavors stay column-for-column
  * consistent.
  */

@@ -24,6 +24,109 @@ namespace distill::lbo
 namespace
 {
 
+/** Cache and resume key of a run: its identity columns. */
+std::string
+key(const RunRecord &r)
+{
+    std::string k =
+        strprintf("%s|%s|%llu|%llu|%u", r.bench.c_str(),
+                  r.collector.c_str(),
+                  static_cast<unsigned long long>(r.heapBytes),
+                  static_cast<unsigned long long>(r.seed), r.invocation);
+    // Faulted/perturbed/controller cells get a distinct key; each
+    // suffix is only added when non-default so clean grids keep
+    // hitting pre-existing cache entries.
+    if (r.faultSeed != 0) {
+        k += strprintf("|f%llu",
+                       static_cast<unsigned long long>(r.faultSeed));
+    }
+    if (r.schedSeed != 0) {
+        k += strprintf("|s%llu",
+                       static_cast<unsigned long long>(r.schedSeed));
+    }
+    if (!r.sizingPolicy.empty() && r.sizingPolicy != "fixed")
+        k += strprintf("|z%s", r.sizingPolicy.c_str());
+    return k;
+}
+
+/** @p base with @p cell's sizing policy: the environment it runs in. */
+Environment
+cellEnv(const Environment &base, const GridCell &cell)
+{
+    Environment env = base;
+    env.sizingPolicy = cell.sizing;
+    return env;
+}
+
+/** Execute @p cell of @p spec in-process under @p env. */
+RunRecord
+runCell(const wl::WorkloadSpec &spec, const GridCell &cell,
+        const Environment &env)
+{
+    return runOne(spec, cell.collector, cell.heapBytes, cell.heapFactor,
+                  cell.seed, cell.invocation, env);
+}
+
+/**
+ * Key of the record @p cell produces under @p env. It keys by the heap
+ * and sizing policy the run will actually execute, so the cells
+ * makeRunConfig() collapses (every Epsilon heap, every policy forced
+ * to fixed) share one cache entry instead of re-simulating identical
+ * runs under several names.
+ */
+std::string
+cellKey(const wl::WorkloadSpec &spec, const GridCell &cell,
+        const Environment &env)
+{
+    return key(identityRecord(spec, cell.collector,
+                              makeRunConfig(spec, cell.collector,
+                                            cell.heapBytes, cell.seed, env),
+                              0.0, cell.invocation));
+}
+
+/**
+ * @p spec's cells in canonical grid order: per invocation -> Epsilon
+ * -> per heap factor -> per sizing policy -> per collector. Epsilon is
+ * heap- and policy-independent (every controller is a forced no-op
+ * for it), so one run serves the grid.
+ */
+std::vector<GridCell>
+specCells(const SweepConfig &config, const wl::WorkloadSpec &spec)
+{
+    std::vector<GridCell> cells;
+    for (unsigned inv = 0; inv < config.invocations; ++inv) {
+        std::uint64_t seed =
+            invocationSeed(config.baseSeed, spec.name, inv);
+        if (config.includeEpsilon) {
+            cells.push_back({gc::CollectorKind::Epsilon, 0, 0.0, seed, inv,
+                             heap::SizingPolicy::Fixed});
+        }
+        for (double factor : config.heapFactors) {
+            for (heap::SizingPolicy sizing : config.sizingPolicies) {
+                for (gc::CollectorKind collector : config.collectors) {
+                    if (collector == gc::CollectorKind::Epsilon)
+                        continue;
+                    cells.push_back({collector, heapBytesAt(spec, factor),
+                                     factor, seed, inv, sizing});
+                }
+            }
+        }
+    }
+    return cells;
+}
+
+/**
+ * Schedule seed for retry @p attempt of a cell that failed under
+ * @p sched_seed: a fresh perturbation, never the vanilla seed 0.
+ */
+std::uint64_t
+retrySchedSeed(std::uint64_t sched_seed, unsigned attempt)
+{
+    std::uint64_t state = sched_seed ^ (attempt * 0x9e3779b97f4a7c15ULL);
+    std::uint64_t seed = splitMix64(state);
+    return seed != 0 ? seed : attempt;
+}
+
 /** Append a ';'-separated entry to a record's notes column. */
 void
 appendNote(RunRecord &record, const std::string &note)
@@ -60,12 +163,9 @@ completeRecordLine(const std::string &buf)
  * and pooled executors so the two produce byte-identical records.
  */
 RunRecord
-finalizeIsolated(const wl::WorkloadSpec &spec,
-                 gc::CollectorKind collector, std::uint64_t heap_bytes,
-                 double heap_factor, std::uint64_t seed,
-                 unsigned invocation, const Environment &env,
-                 std::uint64_t watchdog_ms, const std::string &sidecar,
-                 const PoolResult &result)
+finalizeIsolated(const wl::WorkloadSpec &spec, const GridCell &cell,
+                 const Environment &env, std::uint64_t watchdog_ms,
+                 const std::string &sidecar, const PoolResult &result)
 {
     std::string buf = result.payload;
     if (!buf.empty() && buf.back() == '\n')
@@ -92,20 +192,10 @@ finalizeIsolated(const wl::WorkloadSpec &spec,
         // The child died (or hung, or the parent lost its pipe) before
         // a record arrived: synthesize a failure record so the cell is
         // accounted for and reproducible.
-        r.bench = spec.name;
-        r.collector = gc::collectorName(collector);
-        r.heapFactor = collector == gc::CollectorKind::Epsilon
-            ? 0.0
-            : heap_factor;
-        r.heapBytes = collector == gc::CollectorKind::Epsilon
-            ? env.machine.memoryBudget
-            : heap_bytes;
-        r.seed = seed;
-        r.invocation = invocation;
-        r.faultSeed = env.faultSeed;
-        r.schedSeed = env.schedSeed;
-        r.completed = false;
-        r.oom = false;
+        r = identityRecord(spec, cell.collector,
+                           makeRunConfig(spec, cell.collector,
+                                         cell.heapBytes, cell.seed, env),
+                           cell.heapFactor, cell.invocation);
         if (result.drainError) {
             // The *parent's* poll()/read() failed, so the payload may
             // be truncated through no fault of the child; blaming the
@@ -171,24 +261,20 @@ finalizeIsolated(const wl::WorkloadSpec &spec,
  * carries an "isolation-degraded" note (it used to happen silently).
  */
 RunRecord
-runIsolated(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
-            std::uint64_t heap_bytes, double heap_factor,
-            std::uint64_t seed, unsigned invocation,
+runIsolated(const wl::WorkloadSpec &spec, const GridCell &cell,
             const Environment &env, std::uint64_t watchdog_ms)
 {
 #ifdef DISTILL_HAVE_FORK
     std::string sidecar = diag::sidecarReportPath(
-        detail::cacheDir(), spec.name, gc::collectorName(collector),
-        heap_bytes, seed, invocation);
+        detail::cacheDir(), spec.name, gc::collectorName(cell.collector),
+        cell.heapBytes, cell.seed, cell.invocation);
     ProcessPool pool(1);
     PoolJob job;
     job.watchdogMs = watchdog_ms;
     job.sidecar = sidecar;
     job.payloadComplete = completeRecordLine;
     job.work = [&]() {
-        RunRecord r = runOne(spec, collector, heap_bytes, heap_factor,
-                             seed, invocation, env);
-        std::string line = r.toCsv();
+        std::string line = runCell(spec, cell, env).toCsv();
         line.push_back('\n');
         return line;
     };
@@ -198,22 +284,19 @@ runIsolated(const wl::WorkloadSpec &spec, gc::CollectorKind collector,
         if (!result.spawned) {
             warn("running %s/%s invocation %u unprotected in-process "
                  "(isolation degraded: cannot fork)",
-                 spec.name.c_str(), gc::collectorName(collector),
-                 invocation);
-            out = runOne(spec, collector, heap_bytes, heap_factor,
-                         seed, invocation, env);
+                 spec.name.c_str(), gc::collectorName(cell.collector),
+                 cell.invocation);
+            out = runCell(spec, cell, env);
             appendNote(out, "isolation-degraded");
             return;
         }
-        out = finalizeIsolated(spec, collector, heap_bytes, heap_factor,
-                               seed, invocation, env, watchdog_ms,
-                               sidecar, result);
+        out = finalizeIsolated(spec, cell, env, watchdog_ms, sidecar,
+                               result);
     });
     return out;
 #else
     (void)watchdog_ms;
-    return runOne(spec, collector, heap_bytes, heap_factor, seed,
-                  invocation, env);
+    return runCell(spec, cell, env);
 #endif
 }
 
@@ -260,32 +343,6 @@ SweepRunner::SweepRunner()
         loadCaches();
 }
 
-std::string
-SweepRunner::key(const std::string &bench, const std::string &collector,
-                 std::uint64_t heap_bytes, std::uint64_t seed,
-                 unsigned invocation, std::uint64_t fault_seed,
-                 std::uint64_t sched_seed, const std::string &sizing)
-{
-    std::string k =
-        strprintf("%s|%s|%llu|%llu|%u", bench.c_str(), collector.c_str(),
-                  static_cast<unsigned long long>(heap_bytes),
-                  static_cast<unsigned long long>(seed), invocation);
-    // Faulted/perturbed/controller cells get a distinct key; each
-    // suffix is only added when non-default so clean grids keep
-    // hitting pre-existing cache entries.
-    if (fault_seed != 0) {
-        k += strprintf("|f%llu",
-                       static_cast<unsigned long long>(fault_seed));
-    }
-    if (sched_seed != 0) {
-        k += strprintf("|s%llu",
-                       static_cast<unsigned long long>(sched_seed));
-    }
-    if (!sizing.empty() && sizing != "fixed")
-        k += strprintf("|z%s", sizing.c_str());
-    return k;
-}
-
 void
 SweepRunner::loadCaches()
 {
@@ -296,9 +353,7 @@ SweepRunner::loadCaches()
         while (std::getline(runs, line)) {
             RunRecord r;
             if (RunRecord::fromCsv(line, r)) {
-                runCache_[key(r.bench, r.collector, r.heapBytes, r.seed,
-                              r.invocation, r.faultSeed, r.schedSeed,
-                              r.sizingPolicy)] = r;
+                runCache_[key(r)] = r;
             }
         }
     }
@@ -337,9 +392,7 @@ SweepRunner::loadResumeFile(const std::string &path)
     while (std::getline(lines, line)) {
         if (!RunRecord::fromCsv(line, r))
             continue;
-        resumeCache_[key(r.bench, r.collector, r.heapBytes, r.seed,
-                         r.invocation, r.faultSeed, r.schedSeed,
-                         r.sizingPolicy)] = r;
+        resumeCache_[key(r)] = r;
         ++loaded;
     }
     return loaded;
@@ -363,18 +416,13 @@ SweepRunner::appendRun(const RunRecord &record)
 
 RunRecord
 SweepRunner::executeCell(const wl::WorkloadSpec &spec,
-                         gc::CollectorKind collector,
-                         std::uint64_t heap_bytes, double heap_factor,
-                         std::uint64_t seed, unsigned invocation,
-                         const Environment &env,
+                         const GridCell &cell, const Environment &env,
                          const SweepConfig &config)
 {
     auto once = [&](const Environment &attempt_env) {
         return config.isolateInvocations
-            ? runIsolated(spec, collector, heap_bytes, heap_factor, seed,
-                          invocation, attempt_env, config.watchdogMs)
-            : runOne(spec, collector, heap_bytes, heap_factor, seed,
-                     invocation, attempt_env);
+            ? runIsolated(spec, cell, attempt_env, config.watchdogMs)
+            : runCell(spec, cell, attempt_env);
     };
     RunRecord r = once(env);
     // A perturbed schedule can fail spuriously (a pathological
@@ -388,15 +436,11 @@ SweepRunner::executeCell(const wl::WorkloadSpec &spec,
         // Copy from env, not config.env: the retry must preserve the
         // cell's sizing policy.
         Environment retry_env = env;
-        std::uint64_t state =
-            env.schedSeed ^ (attempt * 0x9e3779b97f4a7c15ULL);
-        retry_env.schedSeed = splitMix64(state);
-        if (retry_env.schedSeed == 0)
-            retry_env.schedSeed = attempt;
+        retry_env.schedSeed = retrySchedSeed(env.schedSeed, attempt);
         ++retriesAttempted_;
         inform("retry %u/%u for %s/%s (status=%s, sched-seed %llu)",
                attempt, config.retries, spec.name.c_str(),
-               gc::collectorName(collector), r.status.c_str(),
+               gc::collectorName(cell.collector), r.status.c_str(),
                static_cast<unsigned long long>(retry_env.schedSeed));
         r = once(retry_env);
     }
@@ -404,31 +448,11 @@ SweepRunner::executeCell(const wl::WorkloadSpec &spec,
 }
 
 RunRecord
-SweepRunner::runCached(const wl::WorkloadSpec &spec,
-                       gc::CollectorKind collector,
-                       std::uint64_t heap_bytes, double heap_factor,
-                       std::uint64_t seed, unsigned invocation,
-                       heap::SizingPolicy sizing,
+SweepRunner::runCached(const wl::WorkloadSpec &spec, const GridCell &cell,
                        const SweepConfig &config)
 {
-    Environment env = config.env;
-    env.sizingPolicy = sizing;
-    std::uint64_t effective_heap = collector == gc::CollectorKind::Epsilon
-        ? env.machine.memoryBudget
-        : heap_bytes;
-    // Key by the policy the run will actually execute — runOne forces
-    // Fixed for Epsilon and min-heap-less specs — so the no-op cells
-    // share the fixed cache entry instead of re-simulating identical
-    // runs under three names.
-    heap::SizingPolicy effective_sizing = sizing;
-    if (collector == gc::CollectorKind::Epsilon ||
-        spec.minHeapBytes == 0) {
-        effective_sizing = heap::SizingPolicy::Fixed;
-    }
-    std::string k = key(spec.name, gc::collectorName(collector),
-                        effective_heap, seed, invocation, env.faultSeed,
-                        env.schedSeed,
-                        heap::sizingPolicyName(effective_sizing));
+    Environment env = cellEnv(config.env, cell);
+    std::string k = cellKey(spec, cell, env);
     // Resume hits bypass everything, including onRecord: their rows
     // already live in the resume CSV.
     auto resumed = resumeCache_.find(k);
@@ -442,8 +466,7 @@ SweepRunner::runCached(const wl::WorkloadSpec &spec,
             return it->second;
         }
     }
-    RunRecord r = executeCell(spec, collector, heap_bytes, heap_factor,
-                              seed, invocation, env, config);
+    RunRecord r = executeCell(spec, cell, env, config);
     if (cacheEnabled_) {
         runCache_[k] = r;
         appendRun(r);
@@ -476,34 +499,8 @@ SweepRunner::run(const SweepConfig &config)
     std::vector<RunRecord> records;
     for (const wl::WorkloadSpec &raw_spec : config.benchmarks) {
         wl::WorkloadSpec spec = withMinHeap(raw_spec, config.env);
-        for (unsigned inv = 0; inv < config.invocations; ++inv) {
-            std::uint64_t seed =
-                invocationSeed(config.baseSeed, spec.name, inv);
-            if (config.includeEpsilon) {
-                // Heap- and policy-independent: every controller is a
-                // forced no-op for Epsilon, so one run serves the grid.
-                records.push_back(runCached(
-                    spec, gc::CollectorKind::Epsilon, 0, 0.0, seed, inv,
-                    heap::SizingPolicy::Fixed, config));
-            }
-            for (double factor : config.heapFactors) {
-                std::uint64_t heap_bytes = roundUp(
-                    static_cast<std::uint64_t>(
-                        factor * static_cast<double>(spec.minHeapBytes)),
-                    heap::regionSize);
-                for (heap::SizingPolicy sizing : config.sizingPolicies) {
-                    for (gc::CollectorKind collector :
-                         config.collectors) {
-                        if (collector == gc::CollectorKind::Epsilon)
-                            continue; // handled above
-                        records.push_back(
-                            runCached(spec, collector, heap_bytes,
-                                      factor, seed, inv, sizing,
-                                      config));
-                    }
-                }
-            }
-        }
+        for (const GridCell &cell : specCells(config, spec))
+            records.push_back(runCached(spec, cell, config));
         inform("sweep: %s done", spec.name.c_str());
     }
     return records;
@@ -524,65 +521,19 @@ SweepRunner::runPooled(const SweepConfig &config)
     for (const wl::WorkloadSpec &raw : config.benchmarks)
         specs.push_back(withMinHeap(raw, config.env));
 
-    // Enumerate the grid in canonical order: per spec -> per
-    // invocation -> Epsilon -> per heap factor -> per sizing policy ->
-    // per collector. The returned vector preserves exactly this order
-    // regardless of completion order.
-    struct Cell
+    // The whole grid in canonical order; the returned vector
+    // preserves exactly this order regardless of completion order.
+    struct Cell : GridCell
     {
         std::size_t specIndex;
-        gc::CollectorKind collector;
-        std::uint64_t heapBytes; //!< grid value; 0 for Epsilon
-        double heapFactor;
-        std::uint64_t seed;
-        unsigned invocation;
-        heap::SizingPolicy sizing;
         std::string key;
     };
     std::vector<Cell> cells;
     for (std::size_t si = 0; si < specs.size(); ++si) {
-        const wl::WorkloadSpec &spec = specs[si];
-        for (unsigned inv = 0; inv < config.invocations; ++inv) {
-            std::uint64_t seed =
-                invocationSeed(config.baseSeed, spec.name, inv);
-            if (config.includeEpsilon) {
-                cells.push_back({si, gc::CollectorKind::Epsilon, 0, 0.0,
-                                 seed, inv, heap::SizingPolicy::Fixed,
-                                 ""});
-            }
-            for (double factor : config.heapFactors) {
-                std::uint64_t heap_bytes = roundUp(
-                    static_cast<std::uint64_t>(
-                        factor * static_cast<double>(spec.minHeapBytes)),
-                    heap::regionSize);
-                for (heap::SizingPolicy sizing : config.sizingPolicies) {
-                    for (gc::CollectorKind collector :
-                         config.collectors) {
-                        if (collector == gc::CollectorKind::Epsilon)
-                            continue;
-                        cells.push_back({si, collector, heap_bytes,
-                                         factor, seed, inv, sizing, ""});
-                    }
-                }
-            }
+        for (const GridCell &c : specCells(config, specs[si])) {
+            cells.push_back({c, si,
+                             cellKey(specs[si], c, cellEnv(config.env, c))});
         }
-    }
-    for (Cell &cell : cells) {
-        std::uint64_t effective_heap =
-            cell.collector == gc::CollectorKind::Epsilon
-            ? config.env.machine.memoryBudget
-            : cell.heapBytes;
-        // Mirror runCached: key by the policy the run will execute.
-        heap::SizingPolicy effective_sizing =
-            cell.collector == gc::CollectorKind::Epsilon ||
-                specs[cell.specIndex].minHeapBytes == 0
-            ? heap::SizingPolicy::Fixed
-            : cell.sizing;
-        cell.key = key(specs[cell.specIndex].name,
-                       gc::collectorName(cell.collector), effective_heap,
-                       cell.seed, cell.invocation, config.env.faultSeed,
-                       config.env.schedSeed,
-                       heap::sizingPolicyName(effective_sizing));
     }
 
     std::vector<RunRecord> records(cells.size());
@@ -641,8 +592,7 @@ SweepRunner::runPooled(const SweepConfig &config)
         }
         Pending p;
         p.cells.push_back(i);
-        p.env = config.env;
-        p.env.sizingPolicy = cell.sizing;
+        p.env = cellEnv(config.env, cell);
         p.sidecar = diag::sidecarReportPath(
             detail::cacheDir(), specs[cell.specIndex].name,
             gc::collectorName(cell.collector), cell.heapBytes, cell.seed,
@@ -664,13 +614,9 @@ SweepRunner::runPooled(const SweepConfig &config)
         job.sidecar = p.sidecar;
         job.payloadComplete = completeRecordLine;
         job.work = [spec = specs[cell.specIndex],
-                    collector = cell.collector,
-                    heap_bytes = cell.heapBytes,
-                    heap_factor = cell.heapFactor, seed = cell.seed,
-                    invocation = cell.invocation, env = p.env]() {
-            RunRecord r = runOne(spec, collector, heap_bytes,
-                                 heap_factor, seed, invocation, env);
-            std::string line = r.toCsv();
+                    cell = static_cast<const GridCell &>(cell),
+                    env = p.env]() {
+            std::string line = runCell(spec, cell, env).toCsv();
             line.push_back('\n');
             return line;
         };
@@ -709,20 +655,15 @@ SweepRunner::runPooled(const SweepConfig &config)
                      spec.name.c_str(),
                      gc::collectorName(cell.collector),
                      cell.invocation);
-                r = runOne(spec, cell.collector, cell.heapBytes,
-                           cell.heapFactor, cell.seed, cell.invocation,
-                           p.env);
+                r = runCell(spec, cell, p.env);
                 appendNote(r, "isolation-degraded");
                 if (result.spawnRetries > 0) {
                     appendNote(r, strprintf("spawn-retried=%u",
                                             result.spawnRetries));
                 }
             } else {
-                r = finalizeIsolated(spec, cell.collector,
-                                     cell.heapBytes, cell.heapFactor,
-                                     cell.seed, cell.invocation, p.env,
-                                     config.watchdogMs, p.sidecar,
-                                     result);
+                r = finalizeIsolated(spec, cell, p.env, config.watchdogMs,
+                                     p.sidecar, result);
             }
             // The bounded schedule-retry policy, identical to the
             // sequential executeCell loop: same eligibility test, same
@@ -731,15 +672,11 @@ SweepRunner::runPooled(const SweepConfig &config)
                 config.env.schedSeed != 0 &&
                 p.attempt < config.retries) {
                 ++p.attempt;
-                // Copy from config.env but preserve the cell's sizing
-                // policy, exactly as the sequential retry loop does.
-                Environment retry_env = config.env;
-                retry_env.sizingPolicy = cell.sizing;
-                std::uint64_t state = config.env.schedSeed ^
-                    (p.attempt * 0x9e3779b97f4a7c15ULL);
-                retry_env.schedSeed = splitMix64(state);
-                if (retry_env.schedSeed == 0)
-                    retry_env.schedSeed = p.attempt;
+                // Preserve the cell's sizing policy, exactly as the
+                // sequential retry loop does.
+                Environment retry_env = cellEnv(config.env, cell);
+                retry_env.schedSeed =
+                    retrySchedSeed(config.env.schedSeed, p.attempt);
                 ++retriesAttempted_;
                 inform("retry %u/%u for %s/%s (status=%s, sched-seed "
                        "%llu)",

@@ -45,6 +45,20 @@ const std::vector<double> &paperHeapFactors();
 /** Invocation count, honoring DISTILL_INVOCATIONS. */
 unsigned invocationsFromEnv(unsigned fallback = 5);
 
+/**
+ * One cell of a sweep grid: what identifies a run of one benchmark
+ * before it executes.
+ */
+struct GridCell
+{
+    gc::CollectorKind collector;
+    std::uint64_t heapBytes; //!< grid value; 0 for Epsilon
+    double heapFactor;
+    std::uint64_t seed;
+    unsigned invocation;
+    heap::SizingPolicy sizing;
+};
+
 /** Sweep description. */
 struct SweepConfig
 {
@@ -163,25 +177,11 @@ class SweepRunner
 
   private:
     RunRecord runCached(const wl::WorkloadSpec &spec,
-                        gc::CollectorKind collector,
-                        std::uint64_t heap_bytes, double heap_factor,
-                        std::uint64_t seed, unsigned invocation,
-                        heap::SizingPolicy sizing,
-                        const SweepConfig &config);
+                        const GridCell &cell, const SweepConfig &config);
 
     RunRecord executeCell(const wl::WorkloadSpec &spec,
-                          gc::CollectorKind collector,
-                          std::uint64_t heap_bytes, double heap_factor,
-                          std::uint64_t seed, unsigned invocation,
-                          const Environment &env,
+                          const GridCell &cell, const Environment &env,
                           const SweepConfig &config);
-
-    static std::string key(const std::string &bench,
-                           const std::string &collector,
-                           std::uint64_t heap_bytes, std::uint64_t seed,
-                           unsigned invocation, std::uint64_t fault_seed,
-                           std::uint64_t sched_seed,
-                           const std::string &sizing);
 
     /** The jobs > 1 executor: the whole grid through a ProcessPool. */
     std::vector<RunRecord> runPooled(const SweepConfig &config);

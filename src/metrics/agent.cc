@@ -202,8 +202,6 @@ GcAgent::finalize(bool completed, bool oom, std::string failure_reason)
     metrics_.total.cycles = totals.total();
     metrics_.gcThreadCycles = totals.gc;
     metrics_.mutatorCycles = totals.mutator;
-    metrics_.schedRounds = scheduler_.rounds();
-    metrics_.schedDispatches = scheduler_.dispatches();
     // Fold the scheduler's per-tag cycle totals into the ledger: each
     // phase owns one concurrent and one in-pause tag. The attribution
     // must conserve the GC cycle total *exactly* — glue is a declared

@@ -139,16 +139,8 @@ struct RunMetrics
     std::uint64_t bytesAllocated = 0;
     std::uint64_t bytesCopied = 0;
 
-    /** Mutator object allocations (distill_bench allocations/sec). */
+    /** Mutator object allocations (host-throughput diagnostics). */
     std::uint64_t objectsAllocated = 0;
-
-    /**
-     * Scheduler activity counters, snapshotted at finalize(): rounds
-     * that dispatched work and total thread dispatches. distill_bench
-     * reports dispatches per host second as events/sec.
-     */
-    std::uint64_t schedRounds = 0;
-    std::uint64_t schedDispatches = 0;
 
     /**
      * Work-stealing tracer counters, accumulated by gc::WorkGang at

@@ -235,19 +235,11 @@ synthesizeCrashResult(const ServeConfig &config, const std::string &cause)
 {
     ServeResult out;
     lbo::RunRecord &r = out.record;
-    r.bench = config.spec.name;
-    r.collector = gc::collectorName(config.collector);
-    r.heapFactor = config.collector == gc::CollectorKind::Epsilon
-        ? 0.0
-        : config.heapFactor;
-    r.heapBytes = config.collector == gc::CollectorKind::Epsilon
-        ? config.env.machine.memoryBudget
-        : config.heapBytes;
-    r.seed = config.seed;
-    r.invocation = config.invocation;
-    r.faultSeed = config.env.faultSeed;
-    r.schedSeed = config.env.schedSeed;
-    r.completed = false;
+    r = lbo::identityRecord(
+        config.spec, config.collector,
+        lbo::makeRunConfig(config.spec, config.collector, config.heapBytes,
+                           config.seed, config.env),
+        config.heapFactor, config.invocation);
     r.status = "crash";
     r.failReason = lbo::RunRecord::sanitizeReason(cause);
     r.signature = lbo::RunRecord::sanitizeReason(cause) + "@fleet-child";

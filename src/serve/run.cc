@@ -158,15 +158,8 @@ runServe(const ServeConfig &config)
     if (arrivals.empty() && !config.arrivalsExplicit)
         arrivals = generateArrivals(resolveArrival(config), plan);
 
-    rt::RunConfig run_config;
-    run_config.machine = config.env.machine;
-    run_config.costs = config.env.costs;
-    run_config.seed = config.seed;
-    run_config.schedSeed = config.env.schedSeed;
-    run_config.faultSeed = config.env.faultSeed;
-    run_config.heapBytes = config.collector == gc::CollectorKind::Epsilon
-        ? config.env.machine.memoryBudget
-        : config.heapBytes;
+    rt::RunConfig run_config = lbo::makeRunConfig(
+        spec, config.collector, config.heapBytes, config.seed, config.env);
 
     auto store = std::make_unique<wl::SharedStore>(spec.storeSlots);
     auto broker = std::make_shared<RequestBroker>(
@@ -207,16 +200,8 @@ runServe(const ServeConfig &config)
         const metrics::RunMetrics &m = runtime.agent().metrics();
 
         lbo::RunRecord &r = result.record;
-        r.bench = spec.name;
-        r.collector = gc::collectorName(config.collector);
-        r.heapFactor = config.collector == gc::CollectorKind::Epsilon
-            ? 0.0
-            : config.heapFactor;
-        r.heapBytes = run_config.heapBytes;
-        r.seed = config.seed;
-        r.invocation = config.invocation;
-        r.faultSeed = config.env.faultSeed;
-        r.schedSeed = config.env.schedSeed;
+        r = lbo::identityRecord(spec, config.collector, run_config,
+                                config.heapFactor, config.invocation);
         lbo::fillMetrics(r, m);
 
         const ServeCounters &c = broker->counters();

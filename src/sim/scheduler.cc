@@ -179,7 +179,6 @@ Scheduler::run(const std::function<bool()> &done)
             mutatorDilation_ = 1.0;
         }
 
-        ++rounds_;
         dispatches_ += selected_.size();
         Cycles max_used = 0;
         for (SimThread *t : selected_) {

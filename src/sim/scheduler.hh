@@ -115,9 +115,6 @@ class Scheduler
     /** Aggregate cycles executed so far, by thread kind. */
     const CycleTotals &cycleTotals() const { return cycleTotals_; }
 
-    /** Scheduling rounds that dispatched at least one thread. */
-    std::uint64_t rounds() const { return rounds_; }
-
     /** Thread dispatches (SimThread::run invocations) so far. */
     std::uint64_t dispatches() const { return dispatches_; }
 
@@ -172,7 +169,6 @@ class Scheduler
     Ticks now_ = 0;
     double mutatorDilation_ = 1.0;
     CycleTotals cycleTotals_;
-    std::uint64_t rounds_ = 0;
     std::uint64_t dispatches_ = 0;
     std::size_t sleepingCount_ = 0;
     std::function<void()> roundHook_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the base utilities: logging helpers, RNG,
- * statistics, histograms, and the table printer.
+ * statistics, histograms, the table printer, and the host timer.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/histogram.hh"
+#include "base/host_timer.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
@@ -585,6 +586,29 @@ TEST(TableDeath, RowWidthMismatch)
 {
     TextTable t({"a", "b"});
     EXPECT_DEATH(t.addRow({"only-one"}), "row width");
+}
+
+// ----- host timer ----------------------------------------------------
+
+TEST(HostTimerStats, MedianHandComputed)
+{
+    EXPECT_DOUBLE_EQ(medianOf({}), 0.0);
+    EXPECT_DOUBLE_EQ(medianOf({7.0}), 7.0);
+    EXPECT_DOUBLE_EQ(medianOf({3.0, 1.0, 2.0}), 2.0);
+    EXPECT_DOUBLE_EQ(medianOf({4.0, 1.0, 3.0, 2.0}), 2.5);
+    // Robustness: one wild outlier must not move the median.
+    EXPECT_DOUBLE_EQ(medianOf({5.0, 5.0, 5.0, 5.0, 1e9}), 5.0);
+}
+
+TEST(HostTimer, MeasuresMonotonically)
+{
+    HostTimer t;
+    std::uint64_t a = t.elapsedNs();
+    std::uint64_t b = t.elapsedNs();
+    EXPECT_GE(b, a);
+    t.restart();
+    // After restart the clock still advances and stays non-negative.
+    EXPECT_GE(t.elapsedSec(), 0.0);
 }
 
 } // namespace

@@ -38,10 +38,7 @@ RunRecord
 at(const wl::WorkloadSpec &spec, CollectorKind kind, double factor,
    const Environment &env, std::uint64_t seed = 0xFEED)
 {
-    std::uint64_t heap = roundUp(
-        static_cast<std::uint64_t>(
-            factor * static_cast<double>(spec.minHeapBytes)),
-        heap::regionSize);
+    std::uint64_t heap = lbo::heapBytesAt(spec, factor);
     return runOne(spec, kind, heap, factor, seed, 0, env);
 }
 

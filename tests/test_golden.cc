@@ -54,8 +54,8 @@ constexpr std::uint64_t workloadSeeds[] = {42, 1337};
 constexpr std::uint64_t schedSeeds[] = {0, 1, 2, 4};
 constexpr std::uint64_t faultSeeds[] = {0, 16};
 
-/** Shrunk jme: the same pinning trick distill_bench uses, so no
- *  min-heap probe runs and heap sizing is host-independent. */
+/** Shrunk jme with a pinned min heap, so no min-heap probe runs and
+ *  heap sizing is host-independent. */
 wl::WorkloadSpec
 goldenSpec()
 {

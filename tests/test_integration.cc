@@ -42,10 +42,7 @@ RunRecord
 at(const wl::WorkloadSpec &spec, CollectorKind kind, double factor,
    std::uint64_t seed = 0xBEEF)
 {
-    std::uint64_t heap = roundUp(
-        static_cast<std::uint64_t>(
-            factor * static_cast<double>(spec.minHeapBytes)),
-        heap::regionSize);
+    std::uint64_t heap = lbo::heapBytesAt(spec, factor);
     return runOne(spec, kind, heap, factor, seed, 0);
 }
 

@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "lbo/analyzer.hh"
 #include "lbo/record.hh"
 #include "lbo/sweep.hh"
 #include "heap/layout.hh"
+#include "test_util.hh"
 #include "wl/suite.hh"
 
 namespace distill::lbo
@@ -95,6 +99,92 @@ TEST(Record, MalformedCsvRejected)
     EXPECT_FALSE(RunRecord::fromCsv("", r));
 }
 
+TEST(Record, MalformedFieldsRejected)
+{
+    // Each field must be exactly what toCsv() writes: no sign on an
+    // unsigned column, no whitespace or trailing junk, nothing out of
+    // the column's range, and bools spelled 0 or 1.
+    RunRecord good;
+    good.bench = "h2";
+    good.collector = "G1";
+    const std::string line = good.toCsv();
+    // line with the field under (inner) column @p column set to @p text
+    auto with = [&line](const std::string &column, const std::string &text) {
+        std::string header = RunRecord::csvHeader();
+        auto at = header.begin() + header.find("," + column + ",");
+        std::size_t index = std::count(header.begin(), at, ',') + 1;
+        return test::csvPrefix(line, index) + "," + text +
+            line.substr(test::csvPrefix(line, index + 1).size());
+    };
+    RunRecord back;
+    ASSERT_TRUE(RunRecord::fromCsv(with("heapBytes", "7"), back));
+    EXPECT_EQ(back.heapBytes, 7u);
+    const std::pair<const char *, const char *> malformed[] = {
+        {"heapBytes", "-1"},          {"heapBytes", "+1"},
+        {"heapBytes", "12abc"},       {"heapBytes", " 7"},
+        {"heapBytes", "7 "},          {"heapBytes", ""},
+        {"heapBytes", "18446744073709551616"},
+        {"invocation", "4294967297"}, {"cycles", "2.5e9junk"},
+        {"cycles", " 2.5"},           {"cycles", "1e999"},
+        {"completed", "yes"},         {"completed", "2"},
+        {"sizingGrows", "0x10"},
+    };
+    for (const auto &[column, text] : malformed) {
+        EXPECT_FALSE(RunRecord::fromCsv(with(column, text), back))
+            << column << "='" << text << "'";
+    }
+
+    // Only layout boundaries are widths: one column past the legacy
+    // layout is neither it nor the failure layout.
+    EXPECT_FALSE(RunRecord::fromCsv(
+        test::csvPrefix(line, RunRecord::csvWidth(
+                                  RunRecord::CsvLayout::Legacy) + 1),
+        back));
+    EXPECT_FALSE(RunRecord::fromCsv(line + ",0", back));
+}
+
+TEST(Record, EveryLayoutParsesItsPrefixAndDefaultsTheRest)
+{
+    // For every accepted width, the columns the layout has round-trip
+    // and every other column keeps its RunRecord{} default.
+    RunRecord r;
+    r.bench = "xalan";
+    r.collector = "Shenandoah";
+    r.heapFactor = 1.4;
+    r.heapBytes = 123456;
+    r.seed = 42;
+    r.invocation = 3;
+    r.cycles = 2.5e9;
+    r.status = "error";
+    r.failReason = "boom";
+    r.faultSeed = 16;
+    r.schedSeed = 7;
+    r.signature = "SIGSEGV@mark";
+    r.sidecar = "x.report";
+    r.notes = "slow-teardown";
+    r.markCycles = 11;
+    r.serveIssued = 5;
+    r.serveLost = 1;
+    r.stealHits = 9;
+    r.sizingPolicy = "adaptive";
+    r.sizingGrows = 2;
+    const std::string full = r.toCsv();
+    const std::string defaults = RunRecord{}.toCsv();
+    for (std::size_t width : RunRecord::csvWidths()) {
+        RunRecord back;
+        ASSERT_TRUE(RunRecord::fromCsv(test::csvPrefix(full, width), back))
+            << "width " << width;
+        if (width == RunRecord::csvWidth(RunRecord::CsvLayout::Legacy))
+            back.status = RunRecord{}.status; // derived: see below
+        std::string line = back.toCsv();
+        std::string kept = test::csvPrefix(line, width);
+        EXPECT_EQ(kept, test::csvPrefix(full, width)) << "width " << width;
+        EXPECT_EQ(line.substr(kept.size()),
+                  defaults.substr(test::csvPrefix(defaults, width).size()))
+            << "width " << width;
+    }
+}
+
 TEST(Record, CsvRoundTripFailureColumns)
 {
     RunRecord r;
@@ -151,35 +241,34 @@ TEST(Record, LegacyCsvWithoutFailureColumnsParses)
     r.status = "oom";
     r.faultSeed = 99;
     r.schedSeed = 55;
-    std::string line = r.toCsv();
-    for (int i = 0; i < 37; ++i)
-        line.resize(line.rfind(',')); // strip down to the 32 legacy columns
-
-    RunRecord back;
-    ASSERT_TRUE(RunRecord::fromCsv(line, back));
-    EXPECT_EQ(back.bench, "h2");
-    EXPECT_EQ(back.cycles, 1.25e9);
-    EXPECT_EQ(back.status, "oom"); // derived, not stored
-    EXPECT_TRUE(back.failReason.empty());
-    EXPECT_EQ(back.faultSeed, 0u);
-    EXPECT_EQ(back.schedSeed, 0u);
-
     RunRecord ok = r;
     ok.completed = true;
     ok.oom = false;
-    std::string ok_line = ok.toCsv();
-    for (int i = 0; i < 37; ++i)
-        ok_line.resize(ok_line.rfind(','));
-    ASSERT_TRUE(RunRecord::fromCsv(ok_line, back));
-    EXPECT_EQ(back.status, "ok");
-    EXPECT_FALSE(back.failed());
+    ok.status = "ok";
+    const std::size_t legacy =
+        RunRecord::csvWidth(RunRecord::CsvLayout::Legacy);
+    for (std::size_t width : RunRecord::csvWidths()) {
+        RunRecord back;
+        ASSERT_TRUE(RunRecord::fromCsv(test::csvPrefix(r.toCsv(), width),
+                                       back));
+        EXPECT_EQ(back.bench, "h2");
+        EXPECT_EQ(back.cycles, 1.25e9);
+        EXPECT_EQ(back.status, "oom"); // derived at the legacy width
+        EXPECT_TRUE(back.failReason.empty());
+        EXPECT_EQ(back.faultSeed, width == legacy ? 0u : 99u);
+        EXPECT_EQ(back.schedSeed, width == legacy ? 0u : 55u);
+
+        ASSERT_TRUE(RunRecord::fromCsv(test::csvPrefix(ok.toCsv(), width),
+                                       back));
+        EXPECT_EQ(back.status, "ok");
+        EXPECT_FALSE(back.failed());
+    }
 }
 
 TEST(Record, PreForensicsCsvParses)
 {
-    // Rows written before the signature/sidecar columns existed (36
-    // fields) keep their stored failure columns and get empty
-    // forensics columns.
+    // Rows written before the signature/sidecar columns existed keep
+    // their stored failure columns and get empty forensics columns.
     RunRecord r;
     r.bench = "h2";
     r.collector = "ZGC";
@@ -190,17 +279,20 @@ TEST(Record, PreForensicsCsvParses)
     r.schedSeed = 3;
     r.signature = "SIGSEGV@evacuate";
     r.sidecar = "x.report";
-    std::string line = r.toCsv();
-    for (int i = 0; i < 33; ++i)
-        line.resize(line.rfind(',')); // strip forensics, notes, phases, serve
-
-    RunRecord back;
-    ASSERT_TRUE(RunRecord::fromCsv(line, back));
-    EXPECT_EQ(back.status, "timeout");
-    EXPECT_EQ(back.failReason, "virtual-time limit exceeded");
-    EXPECT_EQ(back.faultSeed, 16u);
-    EXPECT_TRUE(back.signature.empty());
-    EXPECT_TRUE(back.sidecar.empty());
+    for (std::size_t width : RunRecord::csvWidths()) {
+        if (width < RunRecord::csvWidth(RunRecord::CsvLayout::Failure))
+            continue;
+        RunRecord back;
+        ASSERT_TRUE(RunRecord::fromCsv(test::csvPrefix(r.toCsv(), width),
+                                       back));
+        EXPECT_EQ(back.status, "timeout");
+        EXPECT_EQ(back.failReason, "virtual-time limit exceeded");
+        EXPECT_EQ(back.faultSeed, 16u);
+        bool forensics =
+            width >= RunRecord::csvWidth(RunRecord::CsvLayout::Forensics);
+        EXPECT_EQ(back.signature, forensics ? r.signature : "");
+        EXPECT_EQ(back.sidecar, forensics ? r.sidecar : "");
+    }
 }
 
 TEST(Record, CsvRoundTripForensicsColumns)
@@ -228,9 +320,8 @@ TEST(Record, CsvRoundTripForensicsColumns)
     clean.bench = "jme";
     clean.collector = "Serial";
     clean.completed = true;
-    std::string line = clean.toCsv();
-    for (int i = 0; i < 30; ++i)
-        line.resize(line.rfind(',')); // strip the phase and serve columns
+    std::string line = test::csvPrefix(
+        clean.toCsv(), RunRecord::csvWidth(RunRecord::CsvLayout::Notes));
     ASSERT_EQ(line.back(), ',');
     ASSERT_TRUE(RunRecord::fromCsv(line, back));
     EXPECT_EQ(back.status, "ok");
@@ -274,8 +365,8 @@ TEST(Record, PhaseColumnsRoundTrip)
 
 TEST(Record, PrePhaseCsvParses)
 {
-    // 39-field rows written before the attribution columns existed
-    // must keep parsing, with every phase column defaulting to zero.
+    // Rows written before the attribution columns existed must keep
+    // parsing, with every phase column defaulting to zero.
     RunRecord r;
     r.bench = "h2";
     r.collector = "G1";
@@ -284,16 +375,19 @@ TEST(Record, PrePhaseCsvParses)
     r.markCycles = 1e8;
     r.gcGlueCycles = 4e8;
     r.notes = "slow-teardown";
-    std::string line = r.toCsv();
-    for (int i = 0; i < 30; ++i)
-        line.resize(line.rfind(',')); // strip the phase and serve columns
-
-    RunRecord back;
-    ASSERT_TRUE(RunRecord::fromCsv(line, back));
-    EXPECT_EQ(back.notes, "slow-teardown"); // last surviving column
-    EXPECT_EQ(back.gcThreadCycles, 5e8);
-    EXPECT_EQ(back.markCycles, 0.0);
-    EXPECT_EQ(back.gcGlueCycles, 0.0);
+    for (std::size_t width : RunRecord::csvWidths()) {
+        RunRecord back;
+        ASSERT_TRUE(RunRecord::fromCsv(test::csvPrefix(r.toCsv(), width),
+                                       back));
+        EXPECT_EQ(back.gcThreadCycles, 5e8);
+        bool notes =
+            width >= RunRecord::csvWidth(RunRecord::CsvLayout::Notes);
+        EXPECT_EQ(back.notes, notes ? "slow-teardown" : "");
+        bool phases =
+            width >= RunRecord::csvWidth(RunRecord::CsvLayout::Phase);
+        EXPECT_EQ(back.markCycles, phases ? 1e8 : 0.0);
+        EXPECT_EQ(back.gcGlueCycles, phases ? 4e8 : 0.0);
+    }
 }
 
 TEST(Sweep, ResumeSkipsTruncatedTrailingLine)

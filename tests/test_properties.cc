@@ -140,10 +140,7 @@ TEST(Property, CyclesFallAsHeapGrows)
     double first = 0.0;
     double last = 0.0;
     for (double factor : {1.4, 2.4, 4.4}) {
-        std::uint64_t heap = roundUp(
-            static_cast<std::uint64_t>(
-                factor * static_cast<double>(spec.minHeapBytes)),
-            heap::regionSize);
+        std::uint64_t heap = lbo::heapBytesAt(spec, factor);
         lbo::RunRecord r = lbo::runOne(spec, CollectorKind::Serial, heap,
                                        factor, 99, 0, env);
         ASSERT_TRUE(r.completed);

@@ -23,6 +23,7 @@
 #include "serve/fleet.hh"
 #include "serve/ladder.hh"
 #include "serve/run.hh"
+#include "test_util.hh"
 #include "wl/suite.hh"
 
 namespace distill
@@ -411,37 +412,38 @@ TEST(ServeRecord, PreRecoveryServeWidthStillParses)
     lbo::RunRecord r;
     r.bench = "jme";
     r.serveIssued = 500;
-    r.serveLost = 9; // must NOT survive the legacy round trip
-    std::string row = r.toCsv();
-    // Strip the 5 steal and 4 recovery columns to reconstruct a
-    // 54-field serve row.
-    std::size_t cut = row.size();
-    for (int i = 0; i < 15; ++i)
-        cut = row.rfind(',', cut - 1);
-    lbo::RunRecord parsed;
-    ASSERT_TRUE(lbo::RunRecord::fromCsv(row.substr(0, cut), parsed));
-    EXPECT_EQ(parsed.serveIssued, 500u);
-    EXPECT_EQ(parsed.serveLost, 0u)
-        << "pre-recovery serve rows read as recovery-free";
-    EXPECT_EQ(parsed.serveRestarts, 0u);
+    r.serveLost = 9; // must NOT survive a pre-recovery round trip
+    r.serveRestarts = 2;
+    using Layout = lbo::RunRecord::CsvLayout;
+    for (std::size_t width : lbo::RunRecord::csvWidths()) {
+        if (width < lbo::RunRecord::csvWidth(Layout::Serve))
+            continue;
+        lbo::RunRecord parsed;
+        ASSERT_TRUE(lbo::RunRecord::fromCsv(
+            test::csvPrefix(r.toCsv(), width), parsed));
+        EXPECT_EQ(parsed.serveIssued, 500u);
+        bool recovery = width >= lbo::RunRecord::csvWidth(Layout::Recovery);
+        EXPECT_EQ(parsed.serveLost, recovery ? 9u : 0u)
+            << "pre-recovery serve rows read as recovery-free";
+        EXPECT_EQ(parsed.serveRestarts, recovery ? 2u : 0u);
+    }
 }
 
 TEST(ServeRecord, LegacyPhaseWidthStillParses)
 {
     lbo::RunRecord r;
     r.bench = "jme";
-    r.serveIssued = 77; // must NOT survive the legacy round trip
-    std::string row = r.toCsv();
-    // Strip the 5 steal and 11 serve columns to reconstruct a
-    // 47-field phase row.
-    std::size_t cut = row.size();
-    for (int i = 0; i < 22; ++i)
-        cut = row.rfind(',', cut - 1);
-    lbo::RunRecord parsed;
-    ASSERT_TRUE(lbo::RunRecord::fromCsv(row.substr(0, cut), parsed));
-    EXPECT_EQ(parsed.bench, "jme");
-    EXPECT_EQ(parsed.serveIssued, 0u)
-        << "legacy rows read as non-serving";
+    r.serveIssued = 77; // must NOT survive a pre-serve round trip
+    for (std::size_t width : lbo::RunRecord::csvWidths()) {
+        if (width >= lbo::RunRecord::csvWidth(
+                         lbo::RunRecord::CsvLayout::Serve))
+            continue;
+        lbo::RunRecord parsed;
+        ASSERT_TRUE(lbo::RunRecord::fromCsv(
+            test::csvPrefix(r.toCsv(), width), parsed));
+        EXPECT_EQ(parsed.bench, "jme");
+        EXPECT_EQ(parsed.serveIssued, 0u) << "legacy rows read as non-serving";
+    }
 }
 
 // ----- busy windows --------------------------------------------------

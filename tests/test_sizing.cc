@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "heap/layout.hh"
 #include "heap/region.hh"
 #include "heap/sizing.hh"
 #include "lbo/run.hh"
 #include "rt/runtime.hh"
+#include "test_util.hh"
 #include "wl/suite.hh"
 #include "wl/workload.hh"
 
@@ -397,7 +399,7 @@ TEST(Record, SizingColumnsRoundTrip)
 
 TEST(Record, EveryLegacyWidthDefaultsSizingColumns)
 {
-    // All eight historical widths must keep parsing, with the sizing
+    // Every pre-sizing width must keep parsing, with the sizing
     // columns defaulting to fixed/zero (pre-sizing rows never moved
     // their limit).
     lbo::RunRecord r;
@@ -410,13 +412,13 @@ TEST(Record, EveryLegacyWidthDefaultsSizingColumns)
     r.sizingGrows = 3;
     const std::string full = r.toCsv();
 
-    const std::size_t current_width = 69;
-    for (std::size_t width : {32u, 36u, 38u, 39u, 47u, 54u, 58u, 63u}) {
-        std::string line = full;
-        for (std::size_t i = 0; i < current_width - width; ++i)
-            line.resize(line.rfind(','));
+    for (std::size_t width : lbo::RunRecord::csvWidths()) {
+        if (width >= lbo::RunRecord::csvWidth(
+                         lbo::RunRecord::CsvLayout::Sizing))
+            continue;
         lbo::RunRecord back;
-        ASSERT_TRUE(lbo::RunRecord::fromCsv(line, back))
+        ASSERT_TRUE(
+            lbo::RunRecord::fromCsv(test::csvPrefix(full, width), back))
             << "width " << width;
         EXPECT_EQ(back.bench, "h2") << "width " << width;
         EXPECT_EQ(back.cycles, 2.5e9) << "width " << width;

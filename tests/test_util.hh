@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gc/collectors.hh"
@@ -19,6 +20,23 @@
 
 namespace distill::test
 {
+
+/**
+ * The first @p width fields of CSV line @p line: how a row of an
+ * older lbo::RunRecord layout looks (every layout is a prefix of the
+ * current one).
+ */
+inline std::string
+csvPrefix(const std::string &line, std::size_t width)
+{
+    std::size_t end = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+        end = line.find(',', i == 0 ? 0 : end + 1);
+        if (end == std::string::npos)
+            return line;
+    }
+    return line.substr(0, end);
+}
 
 /**
  * A program that allocates @p count objects, keeps the last

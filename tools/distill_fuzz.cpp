@@ -41,7 +41,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -49,11 +48,10 @@
 #include "check/differential.hh"
 #include "check/oracle.hh"
 #include "check/program.hh"
-#include "cli_parse.hh"
 #include "gc/collectors.hh"
 #include "heap/layout.hh"
 #include "lbo/record.hh"
-#include "repro.hh"
+#include "run_spec.hh"
 #include "rt/runtime.hh"
 
 using namespace distill;
@@ -77,22 +75,6 @@ usage()
         "                    [--inject-fault PAUSE] [--fault-seed S]\n"
         "                    [--expect-fault]\n");
     std::exit(2);
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > pos)
-            out.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
 }
 
 struct FuzzSettings
@@ -233,81 +215,67 @@ main(int argc, char **argv)
     bool single_seed = false;
     bool single_sched = false;
 
-    // Accept both "--key value" and "--key=value" so printed REPRO
-    // lines paste straight back into a shell.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::size_t eq = a.find('=');
-        if (a.size() > 2 && a[0] == '-' && a[1] == '-' &&
-            eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto value = [&]() -> std::string {
-            if (i + 1 >= args.size())
-                usage();
-            return args[++i];
-        };
-        const std::string &a = args[i];
-        if (a == "--mode") {
-            std::string mode = value();
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (args.option("--mode")) {
+            std::string mode = args.value();
             settings.runOracle = mode == "oracle" || mode == "both";
             settings.runDiff = mode == "diff" || mode == "both";
             if (!settings.runOracle && !settings.runDiff)
                 usage();
-        } else if (a == "--collector" || a == "--collectors") {
-            std::string list = value();
+        } else if (args.option("--collector") ||
+                   args.option("--collectors")) {
+            std::string list = args.value();
             if (list == "all") {
                 settings.collectors = gc::allCollectors();
             } else {
                 settings.collectors.clear();
-                for (const std::string &name : splitList(list))
+                for (const std::string &name : cli::splitList(list))
                     settings.collectors.push_back(
                         gc::collectorFromName(name));
             }
-        } else if (a == "--seed") {
-            settings.seeds = {cli::parseU64("--seed", value())};
+        } else if (args.option("--seed")) {
+            settings.seeds = {cli::parseU64("--seed", args.value())};
             single_seed = true;
-        } else if (a == "--seeds") {
-            seed_count = cli::parseCount("--seeds", value());
-        } else if (a == "--sched-seed") {
-            settings.schedSeeds = {cli::parseU64("--sched-seed", value())};
+        } else if (args.option("--seeds")) {
+            seed_count = cli::parseCount("--seeds", args.value());
+        } else if (args.option("--sched-seed")) {
+            settings.schedSeeds = {
+                cli::parseU64("--sched-seed", args.value())};
             single_sched = true;
-        } else if (a == "--sched-seeds") {
-            sched_count = cli::parseCount("--sched-seeds", value());
-        } else if (a == "--fault-plan") {
-            settings.faultPlans = {cli::parseU64("--fault-plan", value())};
-        } else if (a == "--fault-plans") {
-            std::uint64_t n = cli::parseCount("--fault-plans", value());
+        } else if (args.option("--sched-seeds")) {
+            sched_count = cli::parseCount("--sched-seeds", args.value());
+        } else if (args.option("--fault-plan")) {
+            settings.faultPlans = {
+                cli::parseU64("--fault-plan", args.value())};
+        } else if (args.option("--fault-plans")) {
+            std::uint64_t n =
+                cli::parseCount("--fault-plans", args.value());
             settings.faultPlans.clear();
             for (std::uint64_t p = 0; p < n; ++p)
                 settings.faultPlans.push_back(p);
-        } else if (a == "--heap") {
-            settings.heapBytes = cli::parseCount("--heap", value());
-        } else if (a == "--ref-heap") {
-            settings.refHeapBytes = cli::parseCount("--ref-heap", value());
-        } else if (a == "--ops") {
-            settings.ops = cli::parseCount("--ops", value());
-        } else if (a == "--threads") {
+        } else if (args.option("--heap")) {
+            settings.heapBytes = cli::parseCount("--heap", args.value());
+        } else if (args.option("--ref-heap")) {
+            settings.refHeapBytes =
+                cli::parseCount("--ref-heap", args.value());
+        } else if (args.option("--ops")) {
+            settings.ops = cli::parseCount("--ops", args.value());
+        } else if (args.option("--threads")) {
             settings.threads = static_cast<unsigned>(
-                cli::parseCount("--threads", value()));
-        } else if (a == "--max-virtual-time") {
+                cli::parseCount("--threads", args.value()));
+        } else if (args.option("--max-virtual-time")) {
             settings.maxVirtualTime =
-                cli::parseCount("--max-virtual-time", value());
-        } else if (a == "--inject-fault") {
+                cli::parseCount("--max-virtual-time", args.value());
+        } else if (args.option("--inject-fault")) {
             settings.faultArmed = true;
             settings.fault.enabled = true;
             settings.fault.pauseIndex = static_cast<unsigned>(
-                cli::parseU64("--inject-fault", value()));
-        } else if (a == "--fault-seed") {
-            settings.fault.seed = cli::parseU64("--fault-seed", value());
-        } else if (a == "--expect-fault") {
+                cli::parseU64("--inject-fault", args.value()));
+        } else if (args.option("--fault-seed")) {
+            settings.fault.seed =
+                cli::parseU64("--fault-seed", args.value());
+        } else if (args.flag("--expect-fault")) {
             settings.expectFault = true;
         } else {
             usage();

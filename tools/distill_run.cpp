@@ -7,12 +7,11 @@
  * §IV-C(d)).
  *
  * Usage:
- *   distill_run --bench h2 --gc Shenandoah [--heap-factor 3.0]
- *               [--heap-mib 24 | --heap-bytes N] [--seed 42]
- *               [--sizing fixed|adaptive|membalancer]
- *               [--sched-seed S] [--fault-plan P]
- *               [--max-virtual-time NS] [--watchdog-ms MS]
- *               [--log] [--log-limit 40]
+ *   distill_run --bench h2 --gc Shenandoah [run flags] [--log]
+ *               [--log-limit 40]
+ *
+ * The run flags are RunSpec's (tools/run_spec.hh; `distill_run
+ * --help` lists them), the same ones every REPRO line carries.
  *
  * --heap-bytes overrides --heap-mib overrides --heap-factor; with
  * none, 3.0x of the measured min heap is used. --sched-seed,
@@ -34,23 +33,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "check/oracle.hh"
-#include "cli_parse.hh"
-#include "diag/crash_handler.hh"
 #include "fault/plan.hh"
 #include "heap/layout.hh"
 #include "heap/sizing.hh"
 #include "lbo/record.hh"
 #include "lbo/sweep.hh"
 #include "metrics/agent.hh"
-#include "repro.hh"
 #include "rt/runtime.hh"
+#include "run_spec.hh"
 #include "wl/suite.hh"
 #include "wl/workload.hh"
 
@@ -63,16 +58,10 @@ void
 usage()
 {
     std::fprintf(stderr,
-                 "usage: distill_run --bench <name> --gc <collector>\n"
-                 "                   [--heap-factor F | --heap-mib N | "
-                 "--heap-bytes N]\n"
-                 "                   [--sizing "
-                 "fixed|adaptive|membalancer]\n"
-                 "                   [--seed S] [--sched-seed S] "
-                 "[--fault-plan P]\n"
-                 "                   [--max-virtual-time NS] "
-                 "[--watchdog-ms MS] [--log] "
-                 "[--log-limit N]\n"
+                 "usage: distill_run\n%s"
+                 "    [--log] [--log-limit N]\n",
+                 cli::RunSpec::usage().c_str());
+    std::fprintf(stderr,
                  "collectors: Epsilon Serial Parallel G1 Shenandoah ZGC\n"
                  "benchmarks: ");
     for (const wl::WorkloadSpec &spec : wl::dacapoSuite())
@@ -87,125 +76,38 @@ int
 main(int argc, char **argv)
 {
     check::enableEnvOracle(); // DISTILL_ORACLE=1 checks every pause
-    std::string bench = "h2";
-    std::string collector = "G1";
-    double factor = 3.0;
-    std::uint64_t heap_mib = 0;
-    std::uint64_t heap_bytes_arg = 0;
-    std::uint64_t seed = 0xD15711;
-    std::uint64_t sched_seed = 0;
-    std::uint64_t fault_plan = 0;
-    std::uint64_t max_virtual_time = 0;
-    std::uint64_t watchdog_ms = 0;
-    heap::SizingPolicy sizing = heap::SizingPolicy::Fixed;
+    cli::RunSpec run;
     bool show_log = false;
     std::size_t log_limit = 40;
 
-    // Accept both "--key value" and "--key=value" so printed REPRO
-    // lines paste straight back into a shell.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::size_t eq = a.find('=');
-        if (a.size() > 2 && a[0] == '-' && a[1] == '-' &&
-            eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *name) {
-            if (args[i] != name)
-                return false;
-            if (i + 1 >= args.size())
-                usage();
-            return true;
-        };
-        if (arg("--bench")) {
-            bench = args[++i];
-        } else if (arg("--gc") || arg("--collector")) {
-            collector = args[++i];
-        } else if (arg("--heap-factor")) {
-            factor = cli::parsePositiveDouble("--heap-factor", args[++i]);
-        } else if (arg("--heap-mib")) {
-            heap_mib = cli::parseCount("--heap-mib", args[++i]);
-        } else if (arg("--heap-bytes") || arg("--heap")) {
-            heap_bytes_arg = cli::parseCount("--heap-bytes", args[++i]);
-        } else if (arg("--seed")) {
-            seed = cli::parseU64("--seed", args[++i]);
-        } else if (arg("--sched-seed")) {
-            sched_seed = cli::parseU64("--sched-seed", args[++i]);
-        } else if (arg("--fault-plan")) {
-            fault_plan = cli::parseU64("--fault-plan", args[++i]);
-        } else if (arg("--max-virtual-time")) {
-            max_virtual_time =
-                cli::parseCount("--max-virtual-time", args[++i]);
-        } else if (arg("--watchdog-ms")) {
-            watchdog_ms = cli::parseCount("--watchdog-ms", args[++i]);
-        } else if (arg("--sizing")) {
-            if (!heap::sizingPolicyFromName(args[++i], sizing))
-                fatal("unknown --sizing policy: %s (expected fixed, "
-                      "adaptive, or membalancer)",
-                      args[i].c_str());
-        } else if (arg("--log-limit")) {
-            log_limit = cli::parseU64("--log-limit", args[++i]);
-        } else if (args[i] == "--log") {
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (run.parse(args))
+            continue;
+        if (args.option("--log-limit"))
+            log_limit = cli::parseU64("--log-limit", args.value());
+        else if (args.flag("--log"))
             show_log = true;
-        } else {
+        else
             usage();
-        }
     }
 
-    lbo::Environment env;
-    env.schedSeed = sched_seed;
-    env.faultSeed = fault_plan;
-    if (max_virtual_time > 0)
-        env.machine.maxVirtualTime = max_virtual_time;
+    lbo::Environment env = run.environment();
     lbo::SweepRunner runner;
-    wl::WorkloadSpec spec = runner.withMinHeap(wl::findSpec(bench), env);
-    gc::CollectorKind kind = gc::collectorFromName(collector);
+    wl::WorkloadSpec spec =
+        runner.withMinHeap(wl::findSpec(run.bench), env);
+    gc::CollectorKind kind = gc::collectorFromName(run.collector);
+    rt::RunConfig config = lbo::makeRunConfig(
+        spec, kind, run.resolveHeapBytes(spec), run.seed, env);
 
-    std::uint64_t heap_bytes = heap_bytes_arg > 0 ? heap_bytes_arg
-        : heap_mib > 0                            ? heap_mib * MiB
-        : roundUp(static_cast<std::uint64_t>(
-                      factor * static_cast<double>(spec.minHeapBytes)),
-                  heap::regionSize);
-
-    rt::RunConfig config;
-    config.machine = env.machine;
-    config.costs = env.costs;
-    config.seed = seed;
-    config.schedSeed = env.schedSeed;
-    config.faultSeed = env.faultSeed;
-    config.heapBytes = kind == gc::CollectorKind::Epsilon
-        ? env.machine.memoryBudget
-        : heap_bytes;
-    // Mirror the sweep's effective-policy rule: Epsilon (and a
-    // benchmark with no measured min-heap anchor) always runs fixed.
-    if (kind == gc::CollectorKind::Epsilon || spec.minHeapBytes == 0)
-        sizing = heap::SizingPolicy::Fixed;
-    config.sizingPolicy = sizing;
-    config.minHeapBytes = spec.minHeapBytes;
-
-    if (fault_plan != 0)
+    if (run.faultPlan != 0)
         std::printf("fault plan %llu: %s\n",
-                    static_cast<unsigned long long>(fault_plan),
-                    fault::FaultPlan::fromSeed(fault_plan)
+                    static_cast<unsigned long long>(run.faultPlan),
+                    fault::FaultPlan::fromSeed(run.faultPlan)
                         .describe()
                         .c_str());
 
-    if (watchdog_ms > 0) {
-        // Replaying a hang (or crash) cell: arm forensics so the run
-        // dies with a sidecar report and "status=hang" on stdout
-        // instead of taking the shell hostage.
-        std::fflush(stdout);
-        diag::setSidecarPath("distill-run-crash.report");
-        diag::installCrashHandlers();
-        diag::armWallClockWatchdog(watchdog_ms);
-    }
+    run.armWatchdog("distill-run-crash.report");
 
     rt::Runtime runtime(config, gc::makeCollector(kind, env.gcOptions),
                         wl::makeWorkload(spec));
@@ -213,10 +115,10 @@ main(int argc, char **argv)
     const metrics::RunMetrics &m = runtime.agent().metrics();
 
     std::printf("%s under %s, heap %.1f MiB (min %.1f MiB), seed %llu\n",
-                bench.c_str(), collector.c_str(),
+                run.bench.c_str(), run.collector.c_str(),
                 static_cast<double>(config.heapBytes) / (1 << 20),
                 static_cast<double>(spec.minHeapBytes) / (1 << 20),
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(run.seed));
     std::printf("outcome: %s%s (status=%s%s%s)\n\n",
                 m.completed ? "completed" : "FAILED",
                 m.oom ? " (OOM)" : "",
@@ -270,7 +172,7 @@ main(int argc, char **argv)
     row("allocated", strprintf("%.1f MiB",
                                static_cast<double>(m.bytesAllocated) /
                                    (1 << 20)));
-    row("sizing policy", heap::sizingPolicyName(sizing));
+    row("sizing policy", heap::sizingPolicyName(config.sizingPolicy));
     row("heap limit", strprintf("%.1f MiB",
                                 static_cast<double>(m.heapLimitBytes) /
                                     (1 << 20)));
@@ -280,7 +182,7 @@ main(int argc, char **argv)
                                   (1 << 20)));
     row("avg committed",
         strprintf("%.1f MiB", m.avgCommittedBytes / (1 << 20)));
-    if (sizing != heap::SizingPolicy::Fixed)
+    if (config.sizingPolicy != heap::SizingPolicy::Fixed)
         row("sizing decisions",
             strprintf("%llu grows, %llu shrinks",
                       static_cast<unsigned long long>(m.sizingGrows),
@@ -352,18 +254,11 @@ main(int argc, char **argv)
         log.print();
     }
     if (!m.completed) {
-        lbo::RunRecord rr;
-        rr.bench = bench;
-        rr.collector = gc::collectorName(kind);
-        rr.heapBytes = config.heapBytes;
-        rr.seed = seed;
-        rr.schedSeed = sched_seed;
-        rr.faultSeed = fault_plan;
-        rr.sizingPolicy = heap::sizingPolicyName(sizing);
-        cli::ReproContext ctx;
-        ctx.maxVirtualTime = max_virtual_time;
-        ctx.watchdogMs = watchdog_ms;
-        std::printf("%s\n", cli::runRepro(rr, ctx).c_str());
+        std::printf("%s\n",
+                    cli::runRepro(lbo::identityRecord(spec, kind, config,
+                                                      0.0, 0),
+                                  run)
+                        .c_str());
     }
     return m.completed ? 0 : 1;
 }

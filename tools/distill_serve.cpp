@@ -8,13 +8,11 @@
  * with optional chaos (supervised instance crashes and stalls).
  *
  * Usage:
- *   distill_serve --bench lusearch --gc ZGC [--heap-factor 3.0]
+ *   distill_serve --bench lusearch --gc ZGC [run flags but --sizing]
  *                 [--load 1.5] [--requests N]
  *                 [--queue-cap N] [--deadline-us N] [--retries N]
  *                 [--backoff-us N] [--gc-aware]
- *                 [--protect | --no-protection]
- *                 [--serve-seed S] [--seed S] [--sched-seed S]
- *                 [--fault-plan P] [--max-virtual-time NS]
+ *                 [--protect | --no-protection] [--serve-seed S]
  *                 [--fleet N [--balancer POLICY] [--jobs J]]
  *                 [--chaos] [--hedge-us N] [--restart-budget N]
  *                 [--breaker N] [--no-failover]
@@ -44,11 +42,10 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "cli_parse.hh"
 #include "fault/plan.hh"
-#include "repro.hh"
 #include "heap/layout.hh"
 #include "lbo/sweep.hh"
+#include "run_spec.hh"
 #include "serve/fleet.hh"
 #include "serve/run.hh"
 #include "trace_json.hh"
@@ -59,48 +56,30 @@ using namespace distill;
 namespace
 {
 
+/**
+ * Every run flag but --sizing: serving runs on a fixed heap. Its
+ * --watchdog-ms is the fleet pool's per-child deadline.
+ */
+constexpr unsigned servedFlags =
+    cli::RunSpec::AllGroups & ~cli::RunSpec::Sizing;
+
 void
 usage()
 {
     std::fprintf(
         stderr,
-        "usage: distill_serve --bench <name> --gc <collector>\n"
-        "                     [--collectors A,B,...] [--compare]\n"
-        "                     [--heap-factor F | --heap-mib N | "
-        "--heap-bytes N]\n"
-        "                     [--load L] [--requests N] [--diurnal A]\n"
-        "                     [--queue-cap N] [--deadline-us N]\n"
-        "                     [--retries N] [--backoff-us N] "
-        "[--gc-aware]\n"
-        "                     [--protect | --no-protection]\n"
-        "                     [--serve-seed S] [--seed S] "
-        "[--sched-seed S]\n"
-        "                     [--fault-plan P] [--max-virtual-time NS]\n"
-        "                     [--fleet N] [--balancer "
-        "blind|aware|jsq|p2c|both|all]\n"
-        "                     [--jobs J] [--watchdog-ms MS]\n"
-        "                     [--chaos] [--hedge-us N] "
-        "[--restart-budget N]\n"
-        "                     [--breaker N] [--no-failover]\n"
-        "                     [--csv out.csv] [--trace out.json]\n");
+        "usage: distill_serve\n%s"
+        "    [--collectors A,B,...] [--compare]\n"
+        "    [--load L] [--requests N] [--diurnal A]\n"
+        "    [--queue-cap N] [--deadline-us N]\n"
+        "    [--retries N] [--backoff-us N] [--gc-aware]\n"
+        "    [--protect | --no-protection] [--serve-seed S]\n"
+        "    [--fleet N] [--balancer blind|aware|jsq|p2c|both|all]\n"
+        "    [--jobs J] [--chaos] [--hedge-us N] [--restart-budget N]\n"
+        "    [--breaker N] [--no-failover]\n"
+        "    [--csv out.csv] [--trace out.json]\n",
+        cli::RunSpec::usage(servedFlags).c_str());
     std::exit(2);
-}
-
-/** Split a comma-separated list. */
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
 }
 
 /** The issue's default protection preset, scaled to the workload. */
@@ -155,12 +134,10 @@ printResultSummary(const char *label, const serve::ServeCounters &c,
 int
 main(int argc, char **argv)
 {
-    std::string bench = "lusearch";
-    std::vector<std::string> collectors = {"G1"};
+    cli::RunSpec run;
+    run.bench = "lusearch";
+    std::vector<std::string> collectors;
     bool compare = false;
-    double factor = 3.0;
-    std::uint64_t heap_mib = 0;
-    std::uint64_t heap_bytes_arg = 0;
     double load = 1.0;
     std::uint64_t requests = 0;
     double diurnal = 0.0;
@@ -169,128 +146,84 @@ main(int argc, char **argv)
     bool protect = false;
     bool no_protection = false;
     std::uint64_t serve_seed = 1;
-    std::uint64_t seed = 0xD15711;
-    std::uint64_t sched_seed = 0;
-    std::uint64_t fault_plan = 0;
-    std::uint64_t max_virtual_time = 0;
     unsigned fleet = 0;
     std::string balancer = "blind";
     unsigned jobs = 1;
-    std::uint64_t watchdog_ms = 0;
     bool chaos = false;
     std::uint64_t hedge_us = 0;
     serve::SupervisorConfig supervisor;
     std::string csv_path;
     std::string trace_path;
 
-    // Accept "--key value" and "--key=value", like the other tools,
-    // so REPRO lines paste straight in.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::size_t eq = a.find('=');
-        if (a.size() > 2 && a[0] == '-' && a[1] == '-' &&
-            eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *name) {
-            if (args[i] != name)
-                return false;
-            if (i + 1 >= args.size())
-                usage();
-            return true;
-        };
-        auto flag = [&](const char *name) { return args[i] == name; };
-        if (arg("--bench")) {
-            bench = args[++i];
-        } else if (arg("--gc") || arg("--collector")) {
-            collectors = {args[++i]};
-        } else if (arg("--collectors")) {
-            collectors = splitList(args[++i]);
-        } else if (flag("--compare")) {
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (run.parse(args, servedFlags))
+            continue;
+        if (args.option("--collectors")) {
+            collectors = cli::splitList(args.value());
+        } else if (args.flag("--compare")) {
             compare = true;
-        } else if (arg("--heap-factor")) {
-            factor = cli::parsePositiveDouble("--heap-factor", args[++i]);
-        } else if (arg("--heap-mib")) {
-            heap_mib = cli::parseCount("--heap-mib", args[++i]);
-        } else if (arg("--heap-bytes") || arg("--heap")) {
-            heap_bytes_arg = cli::parseCount("--heap-bytes", args[++i]);
-        } else if (arg("--load")) {
-            load = cli::parsePositiveDouble("--load", args[++i]);
-        } else if (arg("--requests")) {
-            requests = cli::parseCount("--requests", args[++i]);
-        } else if (arg("--diurnal")) {
-            diurnal = cli::parseDouble("--diurnal", args[++i]);
-        } else if (arg("--diurnal-period-us")) {
+        } else if (args.option("--load")) {
+            load = cli::parsePositiveDouble("--load", args.value());
+        } else if (args.option("--requests")) {
+            requests = cli::parseCount("--requests", args.value());
+        } else if (args.option("--diurnal")) {
+            diurnal = cli::parseDouble("--diurnal", args.value());
+        } else if (args.option("--diurnal-period-us")) {
             diurnal_period_us =
-                cli::parseCount("--diurnal-period-us", args[++i]);
-        } else if (arg("--queue-cap")) {
-            policy.queueCap = cli::parseCount("--queue-cap", args[++i]);
-        } else if (arg("--deadline-us")) {
+                cli::parseCount("--diurnal-period-us", args.value());
+        } else if (args.option("--queue-cap")) {
+            policy.queueCap = cli::parseCount("--queue-cap", args.value());
+        } else if (args.option("--deadline-us")) {
             policy.deadlineNs =
-                cli::parseCount("--deadline-us", args[++i]) * 1000;
-        } else if (arg("--retries")) {
+                cli::parseCount("--deadline-us", args.value()) * 1000;
+        } else if (args.option("--retries")) {
             policy.maxRetries = static_cast<unsigned>(
-                cli::parseU64("--retries", args[++i]));
-        } else if (arg("--backoff-us")) {
+                cli::parseU64("--retries", args.value()));
+        } else if (args.option("--backoff-us")) {
             policy.backoffBaseNs =
-                cli::parseCount("--backoff-us", args[++i]) * 1000;
-        } else if (flag("--gc-aware")) {
+                cli::parseCount("--backoff-us", args.value()) * 1000;
+        } else if (args.flag("--gc-aware")) {
             policy.gcAware = true;
-        } else if (flag("--protect")) {
+        } else if (args.flag("--protect")) {
             protect = true;
-        } else if (flag("--no-protection")) {
+        } else if (args.flag("--no-protection")) {
             no_protection = true;
-        } else if (arg("--serve-seed")) {
-            serve_seed = cli::parseU64("--serve-seed", args[++i]);
-        } else if (arg("--seed")) {
-            seed = cli::parseU64("--seed", args[++i]);
-        } else if (arg("--sched-seed")) {
-            sched_seed = cli::parseU64("--sched-seed", args[++i]);
-        } else if (arg("--fault-plan")) {
-            fault_plan = cli::parseU64("--fault-plan", args[++i]);
-        } else if (arg("--max-virtual-time")) {
-            max_virtual_time =
-                cli::parseCount("--max-virtual-time", args[++i]);
-        } else if (arg("--fleet")) {
+        } else if (args.option("--serve-seed")) {
+            serve_seed = cli::parseU64("--serve-seed", args.value());
+        } else if (args.option("--fleet")) {
             fleet = static_cast<unsigned>(
-                cli::parseCount("--fleet", args[++i]));
-        } else if (arg("--balancer")) {
-            balancer = args[++i];
+                cli::parseCount("--fleet", args.value()));
+        } else if (args.option("--balancer")) {
+            balancer = args.value();
             serve::Balancer parsed;
             if (!serve::balancerFromName(balancer, parsed) &&
                 balancer != "both" && balancer != "all")
                 usage();
-        } else if (arg("--jobs")) {
-            jobs = cli::parseJobs("--jobs", args[++i]);
-        } else if (arg("--watchdog-ms")) {
-            watchdog_ms = cli::parseCount("--watchdog-ms", args[++i]);
-        } else if (flag("--chaos")) {
+        } else if (args.option("--jobs")) {
+            jobs = cli::parseJobs("--jobs", args.value());
+        } else if (args.flag("--chaos")) {
             chaos = true;
-        } else if (arg("--hedge-us")) {
-            hedge_us = cli::parseCount("--hedge-us", args[++i]);
-        } else if (arg("--restart-budget")) {
+        } else if (args.option("--hedge-us")) {
+            hedge_us = cli::parseCount("--hedge-us", args.value());
+        } else if (args.option("--restart-budget")) {
             supervisor.restartBudget = static_cast<unsigned>(
-                cli::parseU64("--restart-budget", args[++i]));
-        } else if (arg("--breaker")) {
+                cli::parseU64("--restart-budget", args.value()));
+        } else if (args.option("--breaker")) {
             supervisor.breakerThreshold = static_cast<unsigned>(
-                cli::parseU64("--breaker", args[++i]));
-        } else if (flag("--no-failover")) {
+                cli::parseU64("--breaker", args.value()));
+        } else if (args.flag("--no-failover")) {
             supervisor.failover = false;
-        } else if (arg("--csv")) {
-            csv_path = args[++i];
-        } else if (arg("--trace")) {
-            trace_path = args[++i];
+        } else if (args.option("--csv")) {
+            csv_path = args.value();
+        } else if (args.option("--trace")) {
+            trace_path = args.value();
         } else {
             usage();
         }
     }
+    if (collectors.empty()) // --collectors overrides --gc
+        collectors = {run.collector};
     if (protect && no_protection)
         fatal("--protect and --no-protection are mutually exclusive");
 
@@ -299,24 +232,16 @@ main(int argc, char **argv)
         // instance-failure plan, unless the user pinned their own.
         if (fleet == 0)
             fleet = 4;
-        if (fault_plan == 0)
-            fault_plan = fault::FaultPlan::chaosSeed(0);
+        if (run.faultPlan == 0)
+            run.faultPlan = fault::FaultPlan::chaosSeed(0);
         supervisor.hedgeDelayNs = hedge_us * 1000;
     }
 
-    lbo::Environment env;
-    env.schedSeed = sched_seed;
-    env.faultSeed = fault_plan;
-    if (max_virtual_time > 0)
-        env.machine.maxVirtualTime = max_virtual_time;
-
+    lbo::Environment env = run.environment();
     lbo::SweepRunner runner;
-    wl::WorkloadSpec spec = runner.withMinHeap(wl::findSpec(bench), env);
-    std::uint64_t heap_bytes = heap_bytes_arg > 0 ? heap_bytes_arg
-        : heap_mib > 0                            ? heap_mib * MiB
-        : roundUp(static_cast<std::uint64_t>(
-                      factor * static_cast<double>(spec.minHeapBytes)),
-                  heap::regionSize);
+    wl::WorkloadSpec spec =
+        runner.withMinHeap(wl::findSpec(run.bench), env);
+    std::uint64_t heap_bytes = run.resolveHeapBytes(spec);
 
     if (protect)
         policy = protectPreset(spec);
@@ -330,8 +255,9 @@ main(int argc, char **argv)
     serve::ServeConfig base;
     base.spec = spec;
     base.heapBytes = heap_bytes;
-    base.heapFactor = heap_bytes_arg > 0 || heap_mib > 0 ? 0.0 : factor;
-    base.seed = seed;
+    base.heapFactor =
+        run.heapBytes > 0 || run.heapMib > 0 ? 0.0 : run.heapFactor;
+    base.seed = run.seed;
     base.serveSeed = serve_seed;
     base.arrival.loadFactor = load;
     base.arrival.requests = requests;
@@ -359,7 +285,7 @@ main(int argc, char **argv)
         fc.base = base;
         fc.instances = fleet;
         fc.jobs = jobs;
-        fc.watchdogMs = watchdog_ms;
+        fc.watchdogMs = run.watchdogMs;
         fc.supervised = chaos;
         fc.supervisor = supervisor;
 
@@ -392,7 +318,7 @@ main(int argc, char **argv)
                     blind_adverts.push_back(inst.busyWindows);
             }
             std::printf("fleet[%s]: %s x%u under %s heap=%llu MiB%s\n",
-                        name, bench.c_str(), fleet,
+                        name, run.bench.c_str(), fleet,
                         collectors[0].c_str(),
                         static_cast<unsigned long long>(heap_bytes /
                                                         MiB),
@@ -435,7 +361,7 @@ main(int argc, char **argv)
                 if (!out)
                     fatal("cannot write %s", trace_path.c_str());
                 out << trace::renderFleetTimelineTrace(
-                    bench + " / " + collectors[0] + " (fleet " + name +
+                    run.bench + " / " + collectors[0] + " (fleet " + name +
                         ")",
                     fr.timelines, fr.horizonNs);
                 std::printf("wrote %s\n", trace_path.c_str());
@@ -467,7 +393,7 @@ main(int argc, char **argv)
                 std::printf(
                     "serve: %s under %s heap=%llu MiB load=%.2f "
                     "protection=%s status=%s\n",
-                    bench.c_str(), name.c_str(),
+                    run.bench.c_str(), name.c_str(),
                     static_cast<unsigned long long>(heap_bytes / MiB),
                     load, prot ? "on" : "off",
                     r.record.status.c_str());
@@ -498,7 +424,7 @@ main(int argc, char **argv)
                     // The serve trace reuses distill_trace's exact
                     // writer; ladder escalations ride the phase lane.
                     out << trace::renderGcLogTrace(
-                        bench + " / " + name + " (serve)",
+                        run.bench + " / " + name + " (serve)",
                         r.gcLog);
                 }
                 cells.push_back({name, prot, std::move(r)});

@@ -69,20 +69,17 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "check/oracle.hh"
-#include "cli_parse.hh"
 #include "fault/plan.hh"
 #include "heap/sizing.hh"
 #include "lbo/sweep.hh"
-#include "repro.hh"
+#include "run_spec.hh"
 #include "wl/suite.hh"
 
 using namespace distill;
@@ -90,33 +87,22 @@ using namespace distill;
 namespace
 {
 
-std::vector<std::string>
-splitCsv(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::istringstream in(arg);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
+/** The run flags that apply to every cell of a sweep. */
+constexpr unsigned sweepFlags = cli::RunSpec::Seeds |
+    cli::RunSpec::VirtualTime | cli::RunSpec::Watchdog;
 
 void
 usage()
 {
     std::fprintf(
         stderr,
-        "usage: distill_sweep [--benchmarks a,b,...] "
-        "[--factors 1.4,3.0] [--collectors Serial,G1,...]\n"
-        "                     [--invocations N] "
-        "[--sizing fixed,adaptive,membalancer|all]\n"
-        "                     [--no-epsilon] "
-        "[--csv out.csv] [--resume out.csv]\n"
-        "                     [--fault-plan SEED] [--sched-seed SEED] "
-        "[--retries N] [--isolate]\n"
-        "                     [--jobs N] [--watchdog-ms MS] "
-        "[--max-virtual-time NS]\n");
+        "usage: distill_sweep\n"
+        "    [--benchmarks a,b,...] [--factors 1.4,3.0]\n"
+        "    [--collectors Serial,G1,...] [--invocations N]\n"
+        "    [--sizing fixed,adaptive,membalancer|all] [--no-epsilon]\n"
+        "    [--csv out.csv] [--resume out.csv]\n"
+        "    [--retries N] [--isolate] [--jobs N]\n%s",
+        cli::RunSpec::usage(sweepFlags).c_str());
     std::exit(2);
 }
 
@@ -134,35 +120,27 @@ main(int argc, char **argv)
     bool include_epsilon = true;
     std::string csv_path;
     std::string resume_path;
-    std::uint64_t fault_plan = 0;
-    std::uint64_t sched_seed = 0;
+    cli::RunSpec run; // the sweep-wide replay flags
     unsigned retries = 0;
     bool isolate = false;
     unsigned jobs = 1;
-    std::uint64_t watchdog_ms = 0;
-    const std::uint64_t default_max_vt = sim::MachineConfig{}.maxVirtualTime;
-    std::uint64_t max_virtual_time = default_max_vt;
 
-    for (int i = 1; i < argc; ++i) {
-        auto arg = [&](const char *name) {
-            if (std::strcmp(argv[i], name) != 0)
-                return false;
-            if (i + 1 >= argc)
-                usage();
-            return true;
-        };
-        if (arg("--benchmarks")) {
-            benchmarks = splitCsv(argv[++i]);
-        } else if (arg("--factors")) {
-            for (const std::string &f : splitCsv(argv[++i]))
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (run.parse(args, sweepFlags))
+            continue;
+        if (args.option("--benchmarks")) {
+            benchmarks = cli::splitList(args.value());
+        } else if (args.option("--factors")) {
+            for (const std::string &f : cli::splitList(args.value()))
                 factors.push_back(cli::parsePositiveDouble("--factors", f));
-        } else if (arg("--invocations")) {
+        } else if (args.option("--invocations")) {
             invocations = static_cast<unsigned>(
-                cli::parseCount("--invocations", argv[++i]));
-        } else if (arg("--collectors")) {
-            collectors = splitCsv(argv[++i]);
-        } else if (arg("--sizing")) {
-            for (const std::string &name : splitCsv(argv[++i])) {
+                cli::parseCount("--invocations", args.value()));
+        } else if (args.option("--collectors")) {
+            collectors = cli::splitList(args.value());
+        } else if (args.option("--sizing")) {
+            for (const std::string &name : cli::splitList(args.value())) {
                 if (name == "all") {
                     sizing_policies = {heap::SizingPolicy::Fixed,
                                        heap::SizingPolicy::Adaptive,
@@ -176,27 +154,18 @@ main(int argc, char **argv)
                           name.c_str());
                 sizing_policies.push_back(policy);
             }
-        } else if (arg("--csv")) {
-            csv_path = argv[++i];
-        } else if (arg("--resume")) {
-            resume_path = argv[++i];
-        } else if (arg("--fault-plan")) {
-            fault_plan = cli::parseU64("--fault-plan", argv[++i]);
-        } else if (arg("--sched-seed")) {
-            sched_seed = cli::parseU64("--sched-seed", argv[++i]);
-        } else if (arg("--retries")) {
+        } else if (args.option("--csv")) {
+            csv_path = args.value();
+        } else if (args.option("--resume")) {
+            resume_path = args.value();
+        } else if (args.option("--retries")) {
             retries = static_cast<unsigned>(
-                cli::parseU64("--retries", argv[++i]));
-        } else if (arg("--max-virtual-time")) {
-            max_virtual_time = cli::parseCount("--max-virtual-time",
-                                               argv[++i]);
-        } else if (arg("--watchdog-ms")) {
-            watchdog_ms = cli::parseCount("--watchdog-ms", argv[++i]);
-        } else if (arg("--jobs")) {
-            jobs = cli::parseJobs("--jobs", argv[++i]);
-        } else if (std::strcmp(argv[i], "--isolate") == 0) {
+                cli::parseU64("--retries", args.value()));
+        } else if (args.option("--jobs")) {
+            jobs = cli::parseJobs("--jobs", args.value());
+        } else if (args.flag("--isolate")) {
             isolate = true;
-        } else if (std::strcmp(argv[i], "--no-epsilon") == 0) {
+        } else if (args.flag("--no-epsilon")) {
             include_epsilon = false;
         } else {
             usage();
@@ -204,10 +173,7 @@ main(int argc, char **argv)
     }
 
     lbo::SweepConfig config;
-    config.env = lbo::Environment{};
-    config.env.faultSeed = fault_plan;
-    config.env.schedSeed = sched_seed;
-    config.env.machine.maxVirtualTime = max_virtual_time;
+    config.env = run.environment();
     config.invocations = invocations;
     config.includeEpsilon = include_epsilon;
     config.retries = retries;
@@ -215,10 +181,10 @@ main(int argc, char **argv)
         isolate = true; // every pooled cell is a forked child
     config.isolateInvocations = isolate;
     config.jobs = jobs;
-    if (watchdog_ms > 0 && !isolate)
+    if (run.watchdogMs > 0 && !isolate)
         fatal("--watchdog-ms requires --isolate (the watchdog kills "
               "and post-mortems a forked child)");
-    config.watchdogMs = watchdog_ms;
+    config.watchdogMs = run.watchdogMs;
     config.heapFactors =
         factors.empty() ? lbo::paperHeapFactors() : factors;
     if (!sizing_policies.empty())
@@ -236,10 +202,10 @@ main(int argc, char **argv)
         inform("resume: loaded %zu completed cells from %s", loaded,
                resume_path.c_str());
     }
-    if (fault_plan != 0)
+    if (run.faultPlan != 0)
         inform("fault plan %llu: %s",
-               static_cast<unsigned long long>(fault_plan),
-               fault::FaultPlan::fromSeed(fault_plan).describe().c_str());
+               static_cast<unsigned long long>(run.faultPlan),
+               fault::FaultPlan::fromSeed(run.faultPlan).describe().c_str());
 
     // With --jobs > 1 the min-heap anchors are measured inside run()
     // through the same process pool (one probe child per benchmark);
@@ -302,10 +268,6 @@ main(int argc, char **argv)
             canonical << r.toCsv() << '\n';
     }
 
-    cli::ReproContext repro_ctx;
-    repro_ctx.maxVirtualTime = max_virtual_time;
-    repro_ctx.defaultMaxVirtualTime = default_max_vt;
-    repro_ctx.watchdogMs = watchdog_ms;
     unsigned failed = 0;
     for (const lbo::RunRecord &r : records) {
         if (!r.failed())
@@ -318,7 +280,7 @@ main(int argc, char **argv)
                      r.failReason.c_str(),
                      r.sidecar.empty() ? "" : " report: ",
                      r.sidecar.c_str());
-        std::fprintf(stderr, "%s\n", cli::runRepro(r, repro_ctx).c_str());
+        std::fprintf(stderr, "%s\n", cli::runRepro(r, run).c_str());
     }
     if (!csv_path.empty())
         inform("wrote %zu records to %s", records.size(),

@@ -7,12 +7,13 @@
  * chrome://tracing or Perfetto.
  *
  * Usage:
- *   distill_trace --bench h2 --gc Shenandoah [--heap-factor 3.0]
- *                 [--heap-mib N | --heap-bytes N] [--seed S]
- *                 [--sizing fixed|adaptive|membalancer]
- *                 [--sched-seed S] [--fault-plan P]
- *                 [--max-virtual-time NS] [--out trace.json]
+ *   distill_trace <distill_run's run flags> [--out trace.json]
  *   distill_trace --validate trace.json
+ *
+ * The run flags (tools/run_spec.hh) include --watchdog-ms, which arms
+ * the same wall-clock watchdog as distill_run: a hang REPRO line
+ * replays here too, printing "status=hang" and exiting 124 (sidecar
+ * report distill-trace-crash.report).
  *
  * The export lays events out on four lanes of one process:
  *   tid 0  STW pauses         (pause-kind events)
@@ -32,17 +33,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "base/logging.hh"
-#include "cli_parse.hh"
-#include "fault/plan.hh"
-#include "heap/layout.hh"
-#include "heap/sizing.hh"
 #include "lbo/record.hh"
 #include "lbo/sweep.hh"
 #include "metrics/agent.hh"
 #include "rt/runtime.hh"
+#include "run_spec.hh"
 #include "trace_json.hh"
 #include "wl/suite.hh"
 #include "wl/workload.hh"
@@ -55,17 +52,11 @@ namespace
 void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: distill_trace --bench <name> --gc <collector>\n"
-        "                     [--heap-factor F | --heap-mib N | "
-        "--heap-bytes N]\n"
-        "                     [--sizing fixed|adaptive|membalancer]\n"
-        "                     [--seed S] [--sched-seed S] "
-        "[--fault-plan P]\n"
-        "                     [--max-virtual-time NS] "
-        "[--out trace.json]\n"
-        "       distill_trace --validate <trace.json>\n");
+    std::fprintf(stderr,
+                 "usage: distill_trace\n%s"
+                 "    [--out trace.json]\n"
+                 "       distill_trace --validate <trace.json>\n",
+                 cli::RunSpec::usage().c_str());
     std::exit(2);
 }
 
@@ -96,108 +87,34 @@ validateFile(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string bench = "h2";
-    std::string collector = "G1";
-    double factor = 3.0;
-    std::uint64_t heap_mib = 0;
-    std::uint64_t heap_bytes_arg = 0;
-    std::uint64_t seed = 0xD15711;
-    std::uint64_t sched_seed = 0;
-    std::uint64_t fault_plan = 0;
-    std::uint64_t max_virtual_time = 0;
-    heap::SizingPolicy sizing = heap::SizingPolicy::Fixed;
+    cli::RunSpec run;
     std::string out_path = "distill-trace.json";
     std::string validate_path;
 
-    // Accept "--key value" and "--key=value", like distill_run, so
-    // REPRO lines paste straight in with the binary name swapped.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::size_t eq = a.find('=');
-        if (a.size() > 2 && a[0] == '-' && a[1] == '-' &&
-            eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *name) {
-            if (args[i] != name)
-                return false;
-            if (i + 1 >= args.size())
-                usage();
-            return true;
-        };
-        if (arg("--bench")) {
-            bench = args[++i];
-        } else if (arg("--gc") || arg("--collector")) {
-            collector = args[++i];
-        } else if (arg("--heap-factor")) {
-            factor = cli::parsePositiveDouble("--heap-factor", args[++i]);
-        } else if (arg("--heap-mib")) {
-            heap_mib = cli::parseCount("--heap-mib", args[++i]);
-        } else if (arg("--heap-bytes") || arg("--heap")) {
-            heap_bytes_arg = cli::parseCount("--heap-bytes", args[++i]);
-        } else if (arg("--seed")) {
-            seed = cli::parseU64("--seed", args[++i]);
-        } else if (arg("--sched-seed")) {
-            sched_seed = cli::parseU64("--sched-seed", args[++i]);
-        } else if (arg("--fault-plan")) {
-            fault_plan = cli::parseU64("--fault-plan", args[++i]);
-        } else if (arg("--max-virtual-time")) {
-            max_virtual_time =
-                cli::parseCount("--max-virtual-time", args[++i]);
-        } else if (arg("--sizing")) {
-            if (!heap::sizingPolicyFromName(args[++i], sizing))
-                fatal("unknown --sizing policy: %s (expected fixed, "
-                      "adaptive, or membalancer)",
-                      args[i].c_str());
-        } else if (arg("--out")) {
-            out_path = args[++i];
-        } else if (arg("--validate")) {
-            validate_path = args[++i];
-        } else {
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (run.parse(args))
+            continue;
+        if (args.option("--out"))
+            out_path = args.value();
+        else if (args.option("--validate"))
+            validate_path = args.value();
+        else
             usage();
-        }
     }
 
     if (!validate_path.empty())
         return validateFile(validate_path);
 
-    lbo::Environment env;
-    env.schedSeed = sched_seed;
-    env.faultSeed = fault_plan;
-    if (max_virtual_time > 0)
-        env.machine.maxVirtualTime = max_virtual_time;
+    lbo::Environment env = run.environment();
     lbo::SweepRunner runner;
-    wl::WorkloadSpec spec = runner.withMinHeap(wl::findSpec(bench), env);
-    gc::CollectorKind kind = gc::collectorFromName(collector);
+    wl::WorkloadSpec spec =
+        runner.withMinHeap(wl::findSpec(run.bench), env);
+    gc::CollectorKind kind = gc::collectorFromName(run.collector);
+    rt::RunConfig config = lbo::makeRunConfig(
+        spec, kind, run.resolveHeapBytes(spec), run.seed, env);
 
-    std::uint64_t heap_bytes = heap_bytes_arg > 0 ? heap_bytes_arg
-        : heap_mib > 0                            ? heap_mib * MiB
-        : roundUp(static_cast<std::uint64_t>(
-                      factor * static_cast<double>(spec.minHeapBytes)),
-                  heap::regionSize);
-
-    rt::RunConfig config;
-    config.machine = env.machine;
-    config.costs = env.costs;
-    config.seed = seed;
-    config.schedSeed = env.schedSeed;
-    config.faultSeed = env.faultSeed;
-    config.heapBytes = kind == gc::CollectorKind::Epsilon
-        ? env.machine.memoryBudget
-        : heap_bytes;
-    // Same effective-policy rule as the sweep and distill_run: the
-    // controller is a guaranteed no-op without a min-heap anchor.
-    if (kind == gc::CollectorKind::Epsilon || spec.minHeapBytes == 0)
-        sizing = heap::SizingPolicy::Fixed;
-    config.sizingPolicy = sizing;
-    config.minHeapBytes = spec.minHeapBytes;
+    run.armWatchdog("distill-trace-crash.report");
 
     rt::Runtime runtime(config, gc::makeCollector(kind, env.gcOptions),
                         wl::makeWorkload(spec));
@@ -205,7 +122,7 @@ main(int argc, char **argv)
     const metrics::RunMetrics &m = runtime.agent().metrics();
 
     std::printf("%s under %s: %s (status=%s), %zu log events%s\n",
-                bench.c_str(), collector.c_str(),
+                run.bench.c_str(), run.collector.c_str(),
                 m.completed ? "completed" : "FAILED",
                 lbo::RunRecord::statusFor(m.completed, m.oom,
                                           m.failureReason),
@@ -230,7 +147,7 @@ main(int argc, char **argv)
         return 1;
 
     std::string json =
-        trace::renderGcLogTrace(bench + " / " + collector, m.gcLog);
+        trace::renderGcLogTrace(run.bench + " / " + run.collector, m.gcLog);
 
     std::ofstream out(out_path);
     if (!out) {

@@ -31,29 +31,29 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
-#include "cli_parse.hh"
 #include "lbo/record.hh"
-#include "repro.hh"
-#include "sim/machine.hh"
+#include "run_spec.hh"
 
 using namespace distill;
 
 namespace
 {
 
+/** The sweep-wide replay flags a sweep CSV does not record per cell. */
+constexpr unsigned sweepFlags =
+    cli::RunSpec::VirtualTime | cli::RunSpec::Watchdog;
+
 void
 usage()
 {
-    std::fprintf(stderr,
-                 "usage: distill_triage <sweep.csv> "
-                 "[--max-virtual-time NS] [--watchdog-ms MS]\n");
+    std::fprintf(stderr, "usage: distill_triage <sweep.csv>\n%s",
+                 cli::RunSpec::usage(sweepFlags).c_str());
     std::exit(2);
 }
 
@@ -92,30 +92,14 @@ int
 main(int argc, char **argv)
 {
     std::string csv_path;
-    cli::ReproContext ctx;
-    ctx.defaultMaxVirtualTime = sim::MachineConfig{}.maxVirtualTime;
-    ctx.maxVirtualTime = ctx.defaultMaxVirtualTime;
-
-    for (int i = 1; i < argc; ++i) {
-        auto arg = [&](const char *name) {
-            if (std::strcmp(argv[i], name) != 0)
-                return false;
-            if (i + 1 >= argc)
-                usage();
-            return true;
-        };
-        if (arg("--max-virtual-time")) {
-            ctx.maxVirtualTime =
-                cli::parseCount("--max-virtual-time", argv[++i]);
-        } else if (arg("--watchdog-ms")) {
-            ctx.watchdogMs = cli::parseCount("--watchdog-ms", argv[++i]);
-        } else if (argv[i][0] == '-') {
+    cli::RunSpec sweep; // the sweep-wide replay flags
+    cli::Args args(argc, argv, usage);
+    while (!args.done()) {
+        if (sweep.parse(args, sweepFlags))
+            continue;
+        if (args.peek()[0] == '-' || !csv_path.empty())
             usage();
-        } else if (csv_path.empty()) {
-            csv_path = argv[i];
-        } else {
-            usage();
-        }
+        csv_path = args.next();
     }
     if (csv_path.empty())
         usage();
@@ -213,8 +197,8 @@ main(int argc, char **argv)
             std::printf("  report: %s\n", rep.sidecar.c_str());
         std::printf("  %s\n",
                     rep.serveIssued > 0
-                        ? cli::serveRepro(rep, ctx).c_str()
-                        : cli::runRepro(rep, ctx).c_str());
+                        ? cli::serveRepro(rep, sweep).c_str()
+                        : cli::runRepro(rep, sweep).c_str());
     }
     return 0;
 }
