@@ -5,6 +5,8 @@
  * a real runtime.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "test_util.hh"
@@ -13,6 +15,18 @@
 
 namespace distill::wl
 {
+
+/**
+ * Print a spec as its benchmark name. Without this, GoogleTest prints
+ * the raw bytes, which start with the name's heap pointer, so the
+ * discovered test names changed with every build.
+ */
+void
+PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace
 {
 
